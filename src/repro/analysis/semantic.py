@@ -204,10 +204,14 @@ class MacroStepContractRule(DeepRule):
     SET_MUTATORS = frozenset({"add", "discard", "remove", "clear",
                               "update"})
     #: Functions allowed to write gating state regardless of
-    #: reachability: construction and checkpoint restore.
+    #: reachability: construction, checkpoint restore, and the batched
+    #: fork overlay (``Processor.apply_gating``, called only from
+    #: ``_adopt_leader_state`` at a ``_wave_loop`` sampling boundary
+    #: to re-apply a run's own DTM decisions; DESIGN.md §11).
     BOUNDARY_FUNCS = frozenset({"__init__", "__post_init__",
                                 "restore_state", "reset",
-                                "snapshot_state", "force_all_on"})
+                                "snapshot_state", "force_all_on",
+                                "apply_gating"})
     ROOT_NAMES = ("on_sample", "_on_sample")
 
     def check_project(self,

@@ -23,8 +23,9 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..sim.experiments import (ALUExperiment, IssueQueueExperiment,
                                RF_CONFIGS, RegFileExperiment,
-                               alu_experiment, issue_queue_experiment,
-                               regfile_experiment)
+                               alu_experiment, format_speedup,
+                               issue_queue_experiment, left_out_note,
+                               regfile_experiment, zero_ipc)
 from ..sim.parallel import ExperimentEngine
 from ..sim.results import SimulationResult
 from .sparkline import sparkline
@@ -210,13 +211,15 @@ def _figure6(report: Report, experiment: IssueQueueExperiment,
     report.heading(2, "Figure 6 — issue queue: activity toggling")
     report.table(
         ("benchmark", "toggling IPC", "base IPC", "speedup"),
-        [(b, t, base, f"{s:+.1%}")
+        [(b, t, base, format_speedup(s))
          for b, t, base, s in experiment.figure6_rows()])
     constrained = ", ".join(experiment.constrained_benchmarks()) or "none"
     report.paragraph(
-        f"Average speedup {experiment.average_speedup():+.1%} over all "
-        f"benchmarks, {experiment.average_speedup(True):+.1%} over the "
-        f"IQ-constrained set ({constrained}).")
+        f"Average speedup {format_speedup(experiment.average_speedup())} "
+        f"over all benchmarks, "
+        f"{format_speedup(experiment.average_speedup(True))} over the "
+        f"IQ-constrained set ({constrained})."
+        f"{left_out_note('base', zero_ipc(experiment.base))}")
     results = (list(experiment.toggling.values())
                + list(experiment.base.values()))
     toggles = sum(r.iq_toggles for r in experiment.toggling.values())
@@ -238,15 +241,16 @@ def _figure7(report: Report, experiment: ALUExperiment,
     report.table(
         ("benchmark", "round-robin IPC", "fine-grain IPC", "base IPC",
          "fg speedup"),
-        [(b, rr, fg, base, f"{fg / base - 1:+.1%}")
+        [(b, rr, fg, base, format_speedup(experiment.speedup(b)))
          for b, rr, fg, base in experiment.figure7_rows()])
     constrained = ", ".join(experiment.constrained_benchmarks()) or "none"
     report.paragraph(
-        f"Average fine-grain speedup {experiment.average_speedup():+.1%} "
-        f"over all benchmarks, {experiment.average_speedup(True):+.1%} "
+        f"Average fine-grain speedup "
+        f"{format_speedup(experiment.average_speedup())} over all "
+        f"benchmarks, {format_speedup(experiment.average_speedup(True))} "
         f"over the ALU-constrained set ({constrained}); fine-grain sits "
-        f"{experiment.fine_grain_vs_round_robin():+.1%} from the "
-        f"round-robin upper bound.")
+        f"{format_speedup(experiment.fine_grain_vs_round_robin())} from "
+        f"the round-robin upper bound.{experiment.left_out()}")
     results = (list(experiment.round_robin.values())
                + list(experiment.fine_grain.values())
                + list(experiment.base.values()))
@@ -270,12 +274,14 @@ def _figure8(report: Report, experiment: RegFileExperiment,
         ("benchmark", *RF_CONFIGS),
         [(b, *values) for b, values in experiment.figure8_rows()])
     constrained = ", ".join(experiment.constrained_benchmarks()) or "none"
+    gain = ("fine-grain + priority", "priority only")
     report.paragraph(
         "Average speedup of fine-grain + priority over priority only: "
-        f"{experiment.average_speedup('fine-grain + priority', 'priority only'):+.1%}"
+        f"{format_speedup(experiment.average_speedup(*gain))}"
         f" over all benchmarks, "
-        f"{experiment.average_speedup('fine-grain + priority', 'priority only', True):+.1%}"
-        f" over the RF-constrained set ({constrained}).")
+        f"{format_speedup(experiment.average_speedup(*gain, True))}"
+        f" over the RF-constrained set ({constrained})."
+        f"{left_out_note(gain[1], zero_ipc(experiment.results[gain[1]]))}")
     results = [result for per_bench in experiment.results.values()
                for result in per_bench.values()]
     turnoffs = sum(r.rf_turnoffs for per in ("fine-grain + priority",

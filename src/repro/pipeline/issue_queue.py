@@ -57,10 +57,12 @@ class QueueMode(enum.Enum):
     TOGGLED = 1
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class IQEntry:
     """One occupied issue-queue slot (slotted: wakeup and compaction
-    touch every entry every cycle)."""
+    touch every entry every cycle).  Entries compare by identity, so
+    the kernel's compaction can find one with ``list.index`` without
+    a field-by-field ``__eq__`` per slot it passes."""
 
     op: MicroOp
     rob_index: int

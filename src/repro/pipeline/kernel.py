@@ -42,7 +42,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 from .accel import AccelSession, maybe_session
 from .alu import _NEVER, _InFlight
 from .isa import DEFAULT_LATENCY, NUM_INT_ARCH_REGS, OpClass
-from .issue_queue import IQEntry
+from .issue_queue import IQEntry, QueueMode
 from .rob import ROBEntry
 from .soa import (IQC_BROADCASTS, IQC_COMPACTION_MOVES_0,
                   IQC_COUNTER_EVALS_0, IQC_COUNTER_EVALS_1, IQC_CYCLES,
@@ -51,8 +51,11 @@ from .soa import (IQC_BROADCASTS, IQC_COMPACTION_MOVES_0,
 from ..workloads.trace import ReplayTrace as _ReplayTrace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .issue_queue import CompactingIssueQueue
     from .processor import Processor, ProcessorStats
     from .soa import RunAxisStore
+
+_TOGGLED = QueueMode.TOGGLED
 
 #: Rename-table row offset for FP architectural registers (mirrors
 #: ``processor.FP_RENAME_OFFSET``; duplicated to avoid a module cycle).
@@ -283,10 +286,10 @@ def _run_chunk(proc: "Processor", n_cycles: int) -> Tuple[int, bool]:
     int_waiters = int_iq._waiters
     int_waiters_get = int_waiters.get
     int_waiters_pop = int_waiters.pop
-    i_compact = int_iq._compact
+    i_low = _low_before(int_iq)
     ic_ticks = ic_occ = ic_bcasts = ic_ins = ic_grants = 0
-    ic_ce0 = ic_ce1 = ic_cm0 = ic_cm1 = 0
-    ic_mx0 = ic_mx1 = ic_lm0 = ic_lm1 = 0
+    #: Compaction charges [ce0, ce1, cm0, cm1, mx0, mx1, lm0, lm1].
+    ic_acc = [0] * 8
 
     fp_iq = proc.fp_iq
     fq_order = fp_iq._order
@@ -295,10 +298,9 @@ def _run_chunk(proc: "Processor", n_cycles: int) -> Tuple[int, bool]:
     fp_waiters = fp_iq._waiters
     fp_waiters_get = fp_waiters.get
     fp_waiters_pop = fp_waiters.pop
-    f_compact = fp_iq._compact
+    fq_low = _low_before(fp_iq)
     fc_ticks = fc_occ = fc_bcasts = fc_ins = fc_grants = 0
-    fc_ce0 = fc_ce1 = fc_cm0 = fc_cm1 = 0
-    fc_mx0 = fc_mx1 = fc_lm0 = fc_lm1 = 0
+    fc_acc = [0] * 8
 
     int_sel = proc.int_select
     int_rr = int_sel.round_robin
@@ -367,6 +369,66 @@ def _run_chunk(proc: "Processor", n_cycles: int) -> Tuple[int, bool]:
                 st_cycles += n_stall
                 st_stall += n_stall
                 continue
+            if (nxt < min_nf and not i_ready_n and not f_ready_n
+                    and throttled_until <= nxt and not f_exhausted
+                    and not int_iq._pending_removal
+                    and not fp_iq._pending_removal
+                    and not int_iq._holes and not fp_iq._holes
+                    and (not rob_count
+                         or not rob_entries[rob_head].done)):
+                # Quiescent stretch: nothing can write back (before
+                # min_nf), commit (head not done), issue (no ready
+                # entry), or compact (no holes, nothing issued), and
+                # none of that changes until the next writeback.  If
+                # fetch and dispatch are blocked too, every cycle up
+                # to the next event (writeback, fetch resume, chunk
+                # end) only ticks counters: collapse the stretch.
+                stop = min_nf if min_nf <= end else end + 1
+                if f_resume is not None:
+                    if f_resume < stop:
+                        stop = f_resume
+                    idle = True
+                else:
+                    idle = (f_blocking is not None
+                            or len(f_buffer) >= f_capacity)
+                if idle and f_buffer:
+                    # The head op must hit a structural stall.
+                    op = f_buffer[0]
+                    oc = op.opclass
+                    if oc is OC_FP_ADD or oc is OC_FP_MUL:
+                        full = fp_iq._top >= fq_cap
+                    else:
+                        full = int_iq._top >= i_cap
+                    idle = (full or rob_count == rob_capacity
+                            or ((oc is OC_LOAD or oc is OC_STORE)
+                                and lsq_count == lsq_capacity)
+                            or (op.dst is not None and not free_list))
+                if idle and stop > nxt:
+                    span = stop - nxt
+                    now = stop - 1
+                    st_cycles += span
+                    active_cycles += span
+                    f_count = 0
+                    i_now += span
+                    ic_ticks += span
+                    occ = int_iq._top
+                    if occ:
+                        ic_occ += occ * span
+                        isc_cycles += span
+                        if int_rr:
+                            int_rr_off = (int_rr_off + span) % n_int
+                    fq_now += span
+                    fc_ticks += span
+                    occ = fp_iq._top
+                    if occ:
+                        # issue_width > 0, so the FP-add and FP-mul
+                        # select passes both see every cycle.
+                        fc_occ += occ * span
+                        fsc_cycles += span
+                        msc_cycles += span
+                        if fp_rr:
+                            fp_rr_off = (fp_rr_off + span) % n_fp
+                    continue
             now = nxt
             st_cycles += 1
             active_cycles += 1
@@ -690,30 +752,12 @@ def _run_chunk(proc: "Processor", n_cycles: int) -> Tuple[int, bool]:
                 ic_ticks += 1
                 ic_occ += int_iq._top - int_iq._holes
                 if int_iq._holes or int_iq._pending_removal:
-                    int_iq._now = i_now
-                    t0, t1, t2, t3, t4, t5, t6, t7 = i_compact()
-                    ic_ce0 += t0
-                    ic_ce1 += t1
-                    ic_cm0 += t2
-                    ic_cm1 += t3
-                    ic_mx0 += t4
-                    ic_mx1 += t5
-                    ic_lm0 += t6
-                    ic_lm1 += t7
+                    _compact_queue(int_iq, i_now, ic_acc, i_low)
                 fq_now += 1
                 fc_ticks += 1
                 fc_occ += fp_iq._top - fp_iq._holes
                 if fp_iq._holes or fp_iq._pending_removal:
-                    fp_iq._now = fq_now
-                    t0, t1, t2, t3, t4, t5, t6, t7 = f_compact()
-                    fc_ce0 += t0
-                    fc_ce1 += t1
-                    fc_cm0 += t2
-                    fc_cm1 += t3
-                    fc_mx0 += t4
-                    fc_mx1 += t5
-                    fc_lm0 += t6
-                    fc_lm1 += t7
+                    _compact_queue(fp_iq, fq_now, fc_acc, fq_low)
 
                 # ---- dispatch (peek-based rename + insert) -----------
                 if f_buffer:
@@ -768,7 +812,7 @@ def _run_chunk(proc: "Processor", n_cycles: int) -> Tuple[int, bool]:
                             dst_tag = None
                             freed = None
                         rob_entries[rob_tail] = ROBEntry(
-                            op=op, dst_tag=dst_tag, freed_tag=freed)
+                            op, dst_tag, freed)
                         rob_index = rob_tail
                         rob_tail += 1
                         if rob_tail == rob_capacity:
@@ -776,8 +820,7 @@ def _run_chunk(proc: "Processor", n_cycles: int) -> Tuple[int, bool]:
                         rob_count += 1
                         if needs_lsq:
                             lsq_count += 1
-                        iq_entry = IQEntry(op=op, rob_index=rob_index,
-                                           waiting_tags=waiting)
+                        iq_entry = IQEntry(op, rob_index, waiting)
                         queue.slots[queue._order[queue._top]] = iq_entry
                         queue._top += 1
                         if queue is int_iq:
@@ -877,14 +920,14 @@ def _run_chunk(proc: "Processor", n_cycles: int) -> Tuple[int, bool]:
         c[IQC_INSERTS] += ic_ins
         c[IQC_SELECT_GRANTS] += ic_grants
         c[IQC_PAYLOAD_OPS] += ic_grants
-        c[IQC_COUNTER_EVALS_0] += ic_ce0
-        c[IQC_COUNTER_EVALS_1] += ic_ce1
-        c[IQC_COMPACTION_MOVES_0] += ic_cm0
-        c[IQC_COMPACTION_MOVES_0 + 1] += ic_cm1
-        c[IQC_MUX_SELECTS_0] += ic_mx0
-        c[IQC_MUX_SELECTS_0 + 1] += ic_mx1
-        c[IQC_LONG_MOVES_0] += ic_lm0
-        c[IQC_LONG_MOVES_0 + 1] += ic_lm1
+        c[IQC_COUNTER_EVALS_0] += ic_acc[0]
+        c[IQC_COUNTER_EVALS_1] += ic_acc[1]
+        c[IQC_COMPACTION_MOVES_0] += ic_acc[2]
+        c[IQC_COMPACTION_MOVES_0 + 1] += ic_acc[3]
+        c[IQC_MUX_SELECTS_0] += ic_acc[4]
+        c[IQC_MUX_SELECTS_0 + 1] += ic_acc[5]
+        c[IQC_LONG_MOVES_0] += ic_acc[6]
+        c[IQC_LONG_MOVES_0 + 1] += ic_acc[7]
         c = fp_iq._c
         c[IQC_CYCLES] += fc_ticks
         c[IQC_OCCUPANCY_SUM] += fc_occ
@@ -892,14 +935,14 @@ def _run_chunk(proc: "Processor", n_cycles: int) -> Tuple[int, bool]:
         c[IQC_INSERTS] += fc_ins
         c[IQC_SELECT_GRANTS] += fc_grants
         c[IQC_PAYLOAD_OPS] += fc_grants
-        c[IQC_COUNTER_EVALS_0] += fc_ce0
-        c[IQC_COUNTER_EVALS_1] += fc_ce1
-        c[IQC_COMPACTION_MOVES_0] += fc_cm0
-        c[IQC_COMPACTION_MOVES_0 + 1] += fc_cm1
-        c[IQC_MUX_SELECTS_0] += fc_mx0
-        c[IQC_MUX_SELECTS_0 + 1] += fc_mx1
-        c[IQC_LONG_MOVES_0] += fc_lm0
-        c[IQC_LONG_MOVES_0 + 1] += fc_lm1
+        c[IQC_COUNTER_EVALS_0] += fc_acc[0]
+        c[IQC_COUNTER_EVALS_1] += fc_acc[1]
+        c[IQC_COMPACTION_MOVES_0] += fc_acc[2]
+        c[IQC_COMPACTION_MOVES_0 + 1] += fc_acc[3]
+        c[IQC_MUX_SELECTS_0] += fc_acc[4]
+        c[IQC_MUX_SELECTS_0 + 1] += fc_acc[5]
+        c[IQC_LONG_MOVES_0] += fc_acc[6]
+        c[IQC_LONG_MOVES_0 + 1] += fc_acc[7]
         int_sel.counters.cycles = isc_cycles
         int_sel.counters.requests_seen = isc_req
         int_sel._rr_offset = int_rr_off
@@ -929,6 +972,142 @@ def _run_chunk(proc: "Processor", n_cycles: int) -> Tuple[int, bool]:
                 if unit.busy:
                     unit._bank.busy_cycles[unit._slot] += active_cycles
     return now - start_cycle, finished
+
+
+def _low_before(queue: "CompactingIssueQueue") -> List[int]:
+    """``low[x]``: how many of the logical positions ``[0, x)`` live in
+    the lower physical half, for the queue's current mode (constant
+    within a macro-step: only the DTM toggles a queue).  Normal mode
+    maps logical ``l`` to physical ``l``; toggled mode maps logical
+    ``l >= mid`` to physical ``l - mid``."""
+    mid = queue.mid
+    upper = queue.n_entries - mid
+    if queue.mode is _TOGGLED:
+        return [0] * (mid + 1) + list(range(1, upper + 1))
+    return list(range(mid + 1)) + [mid] * upper
+
+
+# repro: hot-loop
+def _compact_queue(queue: "CompactingIssueQueue", now: int,
+                   acc: List[int], low: List[int]) -> None:
+    """One compaction tick of ``queue`` at queue cycle ``now``, adding
+    its per-half charges to ``acc`` (``[ce0, ce1, cm0, cm1, mx0, mx1,
+    lm0, lm1]``, the tally order of
+    :meth:`CompactingIssueQueue._compact`); ``low`` is
+    :func:`_low_before` of the queue.
+
+    With no holes every logical position below the tail is occupied,
+    and the reference pass reduces to arithmetic on a few positions:
+
+    * the entries that leave are the *expiring cohort*: the prefix of
+      the issue-ordered pending list whose replay window has run out.
+      If it holds at most ``compact_width`` entries, each survivor
+      shifts down by the number of cohort entries below it, which
+      deletes the cohort from the logical order and leaves no holes;
+    * an entry evaluates its counter stages when an invalid-marked
+      (issued) entry sits below it, i.e. above the first issued
+      position; it moves, and its destination mux selects, when a
+      cohort entry sits below it; in toggled mode a move is long when
+      it crosses logical position ``mid`` (physical slot 0) and is
+      charged to the lower half it starts in.
+
+    With nothing expiring (the dense case) only the evaluations apply.
+    Holes, or a cohort wider than ``compact_width``, fall back to the
+    queue's own :meth:`CompactingIssueQueue._compact`.
+    """
+    pending = queue._pending_removal
+    expiring = 0
+    if not queue._holes:
+        window = queue.replay_window
+        for e in pending:
+            if now - e.issued_at < window:
+                break
+            expiring += 1
+    if queue._holes or expiring > queue.compact_width:
+        queue._now = now
+        t0, t1, t2, t3, t4, t5, t6, t7 = queue._compact()
+        acc[0] += t0
+        acc[1] += t1
+        acc[2] += t2
+        acc[3] += t3
+        acc[4] += t4
+        acc[5] += t5
+        acc[6] += t6
+        acc[7] += t7
+        return
+    slots = queue.slots
+    order = queue._order
+    top = queue._top
+    # The lowest issued position (pending is non-empty, so one exists).
+    first = 0
+    while slots[order[first]].issued_at is None:
+        first += 1
+    # Evaluating entries: every one above ``first``, cohort excluded.
+    ce0 = low[top] - low[first + 1]
+    ce_n = top - first - 1
+    if not expiring:
+        acc[0] += ce0
+        acc[1] += ce_n - ce0
+        return
+    mid = queue.mid
+    toggled = queue.mode is _TOGGLED
+    if toggled:
+        # Work in logical order: swap the halves (logical l lives at
+        # physical (l + mid) mod n), and swap them back after the
+        # cohort is deleted.
+        slots[:mid], slots[mid:] = slots[mid:], slots[:mid]
+    # c1: the lowest cohort position; rest_low: how many of the other
+    # cohort entries sit on the lower physical half.  Each entry is
+    # found by identity, and deleting it shifts every later slot down
+    # one place, exactly the survivors' compaction shift.
+    index = slots.index
+    if expiring == 1:
+        c1 = index(pending[0])
+        rest_low = 0
+        del slots[c1]
+        slots.append(None)
+    else:
+        c1 = top
+        rest_low = 0
+        for i in range(expiring):
+            c = index(pending[i])
+            rest_low += low[c + 1] - low[c]
+            if c < c1:
+                c1 = c
+        rest_low -= low[c1 + 1] - low[c1]
+        remove = slots.remove
+        for i in range(expiring):
+            remove(pending[i])
+            slots.append(None)
+    if toggled:
+        slots[:mid], slots[mid:] = slots[mid:], slots[:mid]
+    ce0 -= rest_low
+    ce_n -= expiring - 1
+    if c1 > first:
+        ce0 -= low[c1 + 1] - low[c1]
+        ce_n -= 1
+    acc[0] += ce0
+    acc[1] += ce_n - ce0
+    # Movers: the entries above c1 that stay, landing on [c1, dst_top).
+    dst_top = top - expiring
+    moves = dst_top - c1
+    cm0 = low[top] - low[c1 + 1] - rest_low
+    acc[2] += cm0
+    acc[3] += moves - cm0
+    mx0 = low[dst_top] - low[c1]
+    acc[4] += mx0
+    acc[5] += moves - mx0
+    if toggled:
+        # Long moves: movers landing below mid, minus the movers that
+        # started below it (logical < mid is the upper physical half,
+        # so the cohort entries there are the ones not in rest_low).
+        landing = (mid if mid < dst_top else dst_top) - c1
+        if landing > 0:
+            started = ((mid if mid < top else top) - c1 - 1
+                       - (expiring - 1 - rest_low))
+            acc[6] += landing - started
+    queue._top = dst_top
+    del pending[:expiring]
 
 
 # ---------------------------------------------------------------------------

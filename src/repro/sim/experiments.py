@@ -23,7 +23,8 @@ from ..thermal.floorplan import (FP_QUEUE_BLOCKS, INT_ALU_BLOCKS,
                                  FloorplanVariant)
 from ..workloads.spec2000 import BENCHMARK_NAMES
 from .parallel import ExperimentEngine, run_experiments
-from .results import SimulationResult, format_table, mean_speedup
+from .results import (ResultPair, SimulationResult, format_table,
+                      mean_speedup, speedup)
 from .runner import SimulationConfig
 
 #: Stall fraction above which a run counts as "constrained by" the
@@ -37,6 +38,44 @@ def _config(benchmark: str, variant: FloorplanVariant,
     return SimulationConfig(
         benchmark=benchmark, variant=variant, techniques=techniques,
         max_cycles=max_cycles, seed=seed, technique_label=label)
+
+
+def _speedup(result: SimulationResult,
+             baseline: SimulationResult) -> Optional[float]:
+    """IPC gain of ``result`` over ``baseline``; None when the baseline
+    committed nothing (a short run can spend its whole budget in a
+    global stall), since no ratio over an IPC of 0 is defined."""
+    return None if baseline.ipc == 0 else speedup(result, baseline)
+
+
+def _average(pairs: Sequence[ResultPair]) -> Optional[float]:
+    """Mean speedup over the pairs whose baseline IPC is non-zero: 0.0
+    for no pairs, None when every baseline IPC is zero."""
+    if not pairs:
+        return 0.0
+    defined = [(r, b) for r, b in pairs if b.ipc != 0]
+    return mean_speedup(defined) if defined else None
+
+
+def zero_ipc(runs: Dict[str, SimulationResult]) -> List[str]:
+    """Benchmarks whose run committed nothing: a speedup over one of
+    them is undefined, so averages leave it out."""
+    return [bench for bench, run in runs.items() if run.ipc == 0]
+
+
+def format_speedup(value: Optional[float]) -> str:
+    """``+12.3%``, or ``n/a`` for an undefined speedup."""
+    return "n/a" if value is None else f"{value:+.1%}"
+
+
+def left_out_note(label: str, names: Sequence[str], sep: str = " ") -> str:
+    """``sep`` and a sentence naming the benchmarks left out of the
+    averages because their ``label`` run has an IPC of 0 (empty when
+    there are none)."""
+    if not names:
+        return ""
+    return (f"{sep}{len(names)} benchmark(s) with a {label} IPC of 0 "
+            f"left out of the averages ({', '.join(names)}).")
 
 
 def _constrained(baseline: SimulationResult) -> bool:
@@ -61,22 +100,20 @@ class IssueQueueExperiment:
     def benchmarks(self) -> List[str]:
         return list(self.base)
 
-    def speedup(self, benchmark: str) -> float:
-        return (self.toggling[benchmark].ipc
-                / self.base[benchmark].ipc - 1.0)
+    def speedup(self, benchmark: str) -> Optional[float]:
+        return _speedup(self.toggling[benchmark], self.base[benchmark])
 
     def constrained_benchmarks(self) -> List[str]:
         return [b for b in self.benchmarks if _constrained(self.base[b])]
 
-    def average_speedup(self, only_constrained: bool = False) -> float:
+    def average_speedup(self,
+                        only_constrained: bool = False) -> Optional[float]:
         names = (self.constrained_benchmarks() if only_constrained
                  else self.benchmarks)
-        if not names:
-            return 0.0
-        pairs = [(self.toggling[b], self.base[b]) for b in names]
-        return mean_speedup(pairs)
+        return _average([(self.toggling[b], self.base[b]) for b in names])
 
-    def figure6_rows(self) -> List[Tuple[str, float, float, float]]:
+    def figure6_rows(self) -> List[Tuple[str, float, float,
+                                         Optional[float]]]:
         """(benchmark, toggling IPC, base IPC, speedup) per bar pair."""
         return [(b, self.toggling[b].ipc, self.base[b].ipc,
                  self.speedup(b)) for b in self.benchmarks]
@@ -99,18 +136,19 @@ class IssueQueueExperiment:
         return rows
 
     def format(self) -> str:
-        rows = [(b, f"{t:.3f}", f"{base:.3f}", f"{s:+.1%}")
+        rows = [(b, f"{t:.3f}", f"{base:.3f}", format_speedup(s))
                 for b, t, base, s in self.figure6_rows()]
         table = format_table(
             ("benchmark", "toggling IPC", "base IPC", "speedup"), rows,
             title="Figure 6: issue-queue constrained IPC")
         summary = (
             f"\naverage speedup (all): "
-            f"{self.average_speedup():+.1%}\n"
+            f"{format_speedup(self.average_speedup())}\n"
             f"average speedup (IQ-constrained): "
-            f"{self.average_speedup(only_constrained=True):+.1%}\n"
+            f"{format_speedup(self.average_speedup(True))}\n"
             f"constrained: {', '.join(self.constrained_benchmarks())}")
-        return table + summary
+        return table + summary + left_out_note(
+            "base", zero_ipc(self.base), "\n")
 
 
 def issue_queue_experiment(
@@ -153,26 +191,30 @@ class ALUExperiment:
     def benchmarks(self) -> List[str]:
         return list(self.base)
 
-    def speedup(self, benchmark: str) -> float:
-        return (self.fine_grain[benchmark].ipc
-                / self.base[benchmark].ipc - 1.0)
+    def speedup(self, benchmark: str) -> Optional[float]:
+        return _speedup(self.fine_grain[benchmark], self.base[benchmark])
 
     def constrained_benchmarks(self) -> List[str]:
         return [b for b in self.benchmarks if _constrained(self.base[b])]
 
-    def average_speedup(self, only_constrained: bool = False) -> float:
+    def average_speedup(self,
+                        only_constrained: bool = False) -> Optional[float]:
         names = (self.constrained_benchmarks() if only_constrained
                  else self.benchmarks)
-        if not names:
-            return 0.0
-        return mean_speedup([(self.fine_grain[b], self.base[b])
-                             for b in names])
+        return _average([(self.fine_grain[b], self.base[b])
+                         for b in names])
 
-    def fine_grain_vs_round_robin(self) -> float:
+    def fine_grain_vs_round_robin(self) -> Optional[float]:
         """Average IPC shortfall of fine-grain turnoff relative to the
         idealized round-robin upper bound (paper: within ~1%)."""
-        return mean_speedup([(self.fine_grain[b], self.round_robin[b])
-                             for b in self.benchmarks])
+        return _average([(self.fine_grain[b], self.round_robin[b])
+                         for b in self.benchmarks])
+
+    def left_out(self, sep: str = " ") -> str:
+        """:func:`left_out_note` for both averaging baselines."""
+        return (left_out_note("base", zero_ipc(self.base), sep)
+                + left_out_note("round-robin", zero_ipc(self.round_robin),
+                                sep))
 
     def table5_rows(self, benchmarks: Optional[Sequence[str]] = None
                     ) -> List[Tuple[str, str, float, List[float]]]:
@@ -194,7 +236,7 @@ class ALUExperiment:
 
     def format(self) -> str:
         rows = [(b, f"{rr:.3f}", f"{fg:.3f}", f"{base:.3f}",
-                 f"{fg / base - 1:+.1%}")
+                 format_speedup(self.speedup(b)))
                 for b, rr, fg, base in self.figure7_rows()]
         table = format_table(
             ("benchmark", "round-robin", "fine-grain", "base",
@@ -202,13 +244,13 @@ class ALUExperiment:
             title="Figure 7: ALU-constrained IPC")
         summary = (
             f"\naverage fine-grain speedup (all): "
-            f"{self.average_speedup():+.1%}\n"
+            f"{format_speedup(self.average_speedup())}\n"
             f"average fine-grain speedup (ALU-constrained): "
-            f"{self.average_speedup(only_constrained=True):+.1%}\n"
+            f"{format_speedup(self.average_speedup(True))}\n"
             f"fine-grain vs round-robin: "
-            f"{self.fine_grain_vs_round_robin():+.1%}\n"
+            f"{format_speedup(self.fine_grain_vs_round_robin())}\n"
             f"constrained: {', '.join(self.constrained_benchmarks())}")
-        return table + summary
+        return table + summary + self.left_out("\n")
 
 
 def alu_experiment(benchmarks: Sequence[str] = tuple(BENCHMARK_NAMES),
@@ -272,13 +314,12 @@ class RegFileExperiment:
         return [b for b in self.benchmarks if _constrained(base[b])]
 
     def average_speedup(self, config: str, over: str,
-                        only_constrained: bool = False) -> float:
+                        only_constrained: bool = False
+                        ) -> Optional[float]:
         names = (self.constrained_benchmarks() if only_constrained
                  else self.benchmarks)
-        if not names:
-            return 0.0
-        return mean_speedup([(self.results[config][b],
-                              self.results[over][b]) for b in names])
+        return _average([(self.results[config][b],
+                          self.results[over][b]) for b in names])
 
     def table6_rows(self, benchmark: str
                     ) -> List[Tuple[str, float, float, float]]:
@@ -317,11 +358,17 @@ class RegFileExperiment:
         ]
         for config, over, label in comparisons:
             lines.append(
-                f"{label}: {self.average_speedup(config, over):+.1%} all, "
-                f"{self.average_speedup(config, over, True):+.1%} "
-                f"RF-constrained")
+                f"{label}: "
+                f"{format_speedup(self.average_speedup(config, over))} "
+                f"all, "
+                f"{format_speedup(self.average_speedup(config, over, True))}"
+                f" RF-constrained")
         lines.append(
             f"constrained: {', '.join(self.constrained_benchmarks())}")
+        for over in sorted({over for _, over, _ in comparisons}):
+            note = left_out_note(over, zero_ipc(self.results[over]), "")
+            if note:
+                lines.append(note)
         return "\n".join(lines)
 
 

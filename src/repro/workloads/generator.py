@@ -23,7 +23,7 @@ from bisect import bisect
 from collections import deque
 from itertools import accumulate
 from dataclasses import dataclass, field
-from typing import Deque, Dict, Iterator, Optional, Tuple
+from typing import Deque, Dict, Iterator, List
 
 from ..pipeline.isa import MicroOp, OpClass
 
@@ -35,6 +35,14 @@ MIX_CLASSES = (OpClass.INT_ALU, OpClass.INT_MUL, OpClass.LOAD,
 _HOT_POOL_BYTES = 16 * 1024        # comfortably inside the 64 KB L1
 _WARM_POOL_BYTES = 1024 * 1024     # inside the 2 MB L2, far beyond L1
 _LINE = 64
+_HOT_LINES = _HOT_POOL_BYTES // _LINE
+_WARM_LINES = _WARM_POOL_BYTES // _LINE
+
+_LOAD = OpClass.LOAD
+_STORE = OpClass.STORE
+_BRANCH = OpClass.BRANCH
+_FP_ADD = OpClass.FP_ADD
+_FP_MUL = OpClass.FP_MUL
 
 
 @dataclass(frozen=True)
@@ -118,8 +126,9 @@ class SyntheticWorkload:
         self._hi = len(self._classes) - 1
         # Hot-loop caches of immutable profile fields, plus the
         # geometric-sampling log denominator per dependency mean
-        # (log(1 - 1/mean) is deterministic, so hoisting it out of
-        # _pick_source leaves the sampled distances bit-identical).
+        # (log(1 - 1/mean) is deterministic, so hoisting it out of the
+        # per-op source pick leaves the sampled distances
+        # bit-identical).
         self._independent_frac = profile.independent_frac
         self._l1_miss = profile.l1_miss
         self._l2_frac = profile.l2_frac
@@ -148,18 +157,130 @@ class SyntheticWorkload:
     # ------------------------------------------------------------------
     def generate(self) -> MicroOp:
         """Produce the next micro-op."""
-        self._advance_phase()
-        opclass = self._classes[bisect(
-            self._cum_weights, self._rng.random() * self._cum_total,
-            0, self._hi)]
-        op = self._build(opclass)
-        self._seq += 1
-        return op
+        return self.generate_block(1)[0]
 
     def take(self, count: int) -> Iterator[MicroOp]:
-        """Yield exactly ``count`` micro-ops."""
+        """Yield exactly ``count`` micro-ops (generated as one block
+        when iteration starts)."""
+        yield from self.generate_block(count)
+
+    def generate_block(self, count: int) -> List[MicroOp]:
+        """The next ``count`` micro-ops of the stream, in order.
+
+        This is the stream's only implementation: :meth:`generate` is a
+        block of one.  The per-op steps (phase advance, class draw,
+        source picks, destination allocation, address draw) are
+        inlined and every generator field lives in a local for the
+        block and is stored back at the end, so any split of the stream
+        into blocks yields the same ops and leaves the same state.
+        """
+        rng = self._rng
+        draw = rng.random
+        randrange = rng.randrange
+        log = math.log
+        classes = self._classes
+        cum_weights = self._cum_weights
+        cum_total = self._cum_total
+        hi = self._hi
+        independent = self._independent_frac
+        l1_miss = self._l1_miss
+        l2_frac = self._l2_frac
+        mispredict = self._mispredict_rate
+        recent_int = self._recent_int
+        recent_fp = self._recent_fp
+        next_int = self._next_int_dst
+        next_fp = self._next_fp_dst
+        seq = self._seq
+        stream_addr = self._stream_addr
+        profile = self.profile
+        bursty = profile.bursty
+        burst_len = profile.burst_len
+        calm_len = profile.calm_len
+        in_burst = self._in_burst
+        phase_left = self._phase_left
+        # Per phase: (dependency mean <= 1, so always the last
+        # destination; log denominator of the geometric distance).
+        phase_dep = ((profile.dep_mean <= 1.0, self._calm_log_denom),
+                     (profile.burst_dep_mean <= 1.0, self._burst_log_denom))
+        last_only, log_denom = phase_dep[in_burst]
+        ops: List[MicroOp] = []
+        append = ops.append
         for _ in range(count):
-            yield self.generate()
+            if bursty:
+                if phase_left <= 0:
+                    in_burst = not in_burst
+                    phase_left = burst_len if in_burst else calm_len
+                    last_only, log_denom = phase_dep[in_burst]
+                phase_left -= 1
+            opclass = classes[bisect(cum_weights, draw() * cum_total,
+                                     0, hi)]
+            fp = opclass is _FP_ADD or opclass is _FP_MUL
+            recent = recent_fp if fp else recent_int
+            # Source operands: none with probability ``independent``,
+            # else a recent destination at a geometric distance P(d) ~
+            # (1-p)^(d-1) p with mean 1/p, sampled in closed form by
+            # inversion and clamped to the history length.
+            if draw() < independent:
+                src1 = None
+            elif not recent:
+                src1 = 1
+            elif last_only:
+                src1 = recent[-1]
+            else:
+                distance = 1 + int(log(draw()) / log_denom)
+                size = len(recent)
+                src1 = recent[-distance if distance < size else -size]
+            if opclass is _LOAD or opclass is _BRANCH:
+                src2 = None
+            elif draw() < independent:
+                src2 = None
+            elif not recent:
+                src2 = 1
+            elif last_only:
+                src2 = recent[-1]
+            else:
+                distance = 1 + int(log(draw()) / log_denom)
+                size = len(recent)
+                src2 = recent[-distance if distance < size else -size]
+            if opclass is _BRANCH:
+                taken = draw() < 0.6
+                append(MicroOp(seq, opclass, None, src1, None, None, taken,
+                               draw() < mispredict, seq & 0xFFFF))
+                seq += 1
+                continue
+            if opclass is _STORE:
+                dst = None
+            elif fp:
+                dst = next_fp
+                next_fp = dst % 30 + 1
+                recent_fp.append(dst)
+            else:
+                dst = next_int
+                next_int = dst % 30 + 1
+                recent_int.append(dst)
+            if opclass is _LOAD or opclass is _STORE:
+                if draw() >= l1_miss:
+                    mem_addr = randrange(_HOT_LINES) * _LINE
+                elif draw() >= l2_frac:
+                    mem_addr = (_HOT_POOL_BYTES
+                                + randrange(_WARM_LINES) * _LINE)
+                else:
+                    # The cold streaming region is never revisited:
+                    # a guaranteed miss.
+                    stream_addr += _LINE
+                    mem_addr = stream_addr
+            else:
+                mem_addr = None
+            append(MicroOp(seq, opclass, dst, src1, src2, mem_addr, False,
+                           False, seq & 0xFFFF))
+            seq += 1
+        self._next_int_dst = next_int
+        self._next_fp_dst = next_fp
+        self._seq = seq
+        self._stream_addr = stream_addr
+        self._in_burst = in_burst
+        self._phase_left = phase_left
+        return ops
 
     # ------------------------------------------------------------------
     def warm_footprint(self):
@@ -172,99 +293,6 @@ class SyntheticWorkload:
                    _LINE)
         return l1, l2
 
-    def _advance_phase(self) -> None:
-        if not self.profile.bursty:
-            return
-        if self._phase_left <= 0:
-            self._in_burst = not self._in_burst
-            self._phase_left = (self.profile.burst_len if self._in_burst
-                                else self.profile.calm_len)
-        self._phase_left -= 1
-
     @property
     def in_burst(self) -> bool:
         return self._in_burst
-
-    def _dep_mean(self) -> float:
-        if self._in_burst:
-            return self.profile.burst_dep_mean
-        return self.profile.dep_mean
-
-    def _pick_source(self, recent: Deque[int]) -> Optional[int]:
-        rng = self._rng
-        if rng.random() < self._independent_frac:
-            return None
-        if not recent:
-            return 1
-        if self._in_burst:
-            mean = self.profile.burst_dep_mean
-            log_denom = self._burst_log_denom
-        else:
-            mean = self.profile.dep_mean
-            log_denom = self._calm_log_denom
-        # Geometric distance: P(d) ~ (1-p)^(d-1) p with mean 1/p,
-        # sampled in closed form via inversion.
-        if mean <= 1.0:
-            return recent[-1]
-        u = rng.random()
-        distance = 1 + int(math.log(u) / log_denom)
-        if distance > len(recent):
-            distance = len(recent)
-        return recent[-distance]
-
-    def _alloc_dst(self, fp: bool) -> int:
-        if fp:
-            dst = self._next_fp_dst
-            self._next_fp_dst = dst % 30 + 1
-            self._recent_fp.append(dst)
-        else:
-            dst = self._next_int_dst
-            self._next_int_dst = dst % 30 + 1
-            self._recent_int.append(dst)
-        return dst
-
-    def _address(self) -> int:
-        rng = self._rng
-        roll = rng.random()
-        if roll >= self._l1_miss:
-            offset = rng.randrange(_HOT_POOL_BYTES // _LINE) * _LINE
-            return offset
-        if rng.random() >= self._l2_frac:
-            offset = rng.randrange(_WARM_POOL_BYTES // _LINE) * _LINE
-            return _HOT_POOL_BYTES + offset
-        self._stream_addr += _LINE  # never revisited: guaranteed miss
-        return self._stream_addr
-
-    def _build(self, opclass: OpClass) -> MicroOp:
-        rng = self._rng
-        seq = self._seq
-        pc = seq & 0xFFFF
-        if opclass is OpClass.INT_ALU or opclass is OpClass.INT_MUL:
-            src1 = self._pick_source(self._recent_int)
-            src2 = self._pick_source(self._recent_int)
-            dst = self._alloc_dst(fp=False)
-            return MicroOp(seq, opclass, dst=dst, src1=src1, src2=src2,
-                           pc=pc)
-        if opclass is OpClass.LOAD:
-            src1 = self._pick_source(self._recent_int)
-            dst = self._alloc_dst(fp=False)
-            return MicroOp(seq, opclass, dst=dst, src1=src1,
-                           mem_addr=self._address(), pc=pc)
-        if opclass is OpClass.STORE:
-            src1 = self._pick_source(self._recent_int)
-            src2 = self._pick_source(self._recent_int)
-            return MicroOp(seq, opclass, src1=src1, src2=src2,
-                           mem_addr=self._address(), pc=pc)
-        if opclass is OpClass.BRANCH:
-            src1 = self._pick_source(self._recent_int)
-            taken = rng.random() < 0.6
-            wrong = rng.random() < self._mispredict_rate
-            return MicroOp(seq, opclass, src1=src1, taken=taken,
-                           mispredicted=wrong, pc=pc)
-        if opclass is OpClass.FP_ADD or opclass is OpClass.FP_MUL:
-            src1 = self._pick_source(self._recent_fp)
-            src2 = self._pick_source(self._recent_fp)
-            dst = self._alloc_dst(fp=True)
-            return MicroOp(seq, opclass, dst=dst, src1=src1, src2=src2,
-                           pc=pc)
-        raise ValueError(f"cannot build op class {opclass}")

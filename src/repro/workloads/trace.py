@@ -61,10 +61,8 @@ class MaterializedTrace:
         """The ``index``-th op of the stream, generating up to it."""
         ops = self.ops
         if index >= len(ops):
-            generate = self.source.generate
-            append = ops.append
-            for _ in range(index - len(ops) + GENERATE_CHUNK):
-                append(generate())
+            ops.extend(self.source.generate_block(
+                index - len(ops) + GENERATE_CHUNK))
         return ops[index]
 
     def warm_footprint(self) -> Tuple[range, range]:

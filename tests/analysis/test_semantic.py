@@ -232,6 +232,32 @@ class TestREP102MacroStep:
         report = deep_findings(tmp_path, select=["REP102"])
         assert rule_ids(report) == ["REP102"]
 
+    #: A gating overlay shaped like ``Processor.apply_gating``: queue
+    #: mode, unit busy flags and the regfile off set, written by a
+    #: method nothing on the on_sample call graph reaches.
+    OVERLAY = (
+        "class Processor:\n"
+        "    def {name}(self, gating):\n"
+        "        mode, flags, off = gating\n"
+        "        self.int_iq.mode = mode\n"
+        "        for unit, flag in zip(self.units, flags):\n"
+        "            unit.busy = flag\n"
+        "        self.regfile._off = set(off)\n")
+
+    def test_fork_overlay_boundary_clean(self, tmp_path):
+        write_tree(tmp_path, {"pipeline/proc.py":
+                              self.OVERLAY.format(name="apply_gating")})
+        report = deep_findings(tmp_path, select=["REP102"])
+        assert rule_ids(report) == []
+
+    def test_unsanctioned_overlay_fires(self, tmp_path):
+        write_tree(tmp_path, {"pipeline/proc.py":
+                              self.OVERLAY.format(name="overlay_gating")})
+        report = deep_findings(tmp_path, select=["REP102"])
+        assert rule_ids(report) == ["REP102"] * 3
+        assert sorted(f.message.split("'")[1] for f in report.findings) \
+            == ["._off", ".busy", ".mode"]
+
     def test_noqa_suppresses(self, tmp_path):
         files = dict(REP102_FILES)
         files["pipeline/proc.py"] = files["pipeline/proc.py"].replace(

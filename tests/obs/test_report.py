@@ -109,3 +109,57 @@ class TestGenerate:
     def test_unknown_figure_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="unknown figures"):
             generate(figures=("9",), engine=self._engine(tmp_path))
+
+
+class TestZeroBaseIPC:
+    """Figure sections render an undefined speedup as "n/a" and say
+    how many benchmarks the averages left out."""
+
+    @staticmethod
+    def result(committed, label="t"):
+        from repro.sim.results import SimulationResult
+        return SimulationResult(
+            benchmark="x", technique_label=label, cycles=1000,
+            committed=committed, stall_cycles=1000 - committed,
+            global_stalls=1, stall_reasons={"IntQ0": 1}, iq_toggles=0,
+            alu_turnoffs=0, rf_turnoffs=0,
+            mean_temps={}, max_temps={"IntQ0": 360.0})
+
+    def render(self, section, experiment):
+        report = Report("t")
+        section(report, experiment, 358.0)
+        return report.to_markdown()
+
+    def test_figure6(self):
+        from repro.obs.report import _figure6
+        from repro.sim.experiments import IssueQueueExperiment
+        r = self.result
+        text = self.render(_figure6, IssueQueueExperiment(
+            toggling={"mesa": r(0), "gcc": r(600)},
+            base={"mesa": r(0), "gcc": r(500)}))
+        assert "| mesa | 0.000 | 0.000 | n/a |" in text
+        assert "| gcc | 0.600 | 0.500 | +20.0% |" in text
+        assert ("Average speedup +20.0% over all benchmarks, +20.0% over "
+                "the IQ-constrained set (mesa, gcc). 1 benchmark(s) with "
+                "a base IPC of 0 left out of the averages (mesa).") in text
+
+    def test_figure7(self):
+        from repro.obs.report import _figure7
+        from repro.sim.experiments import ALUExperiment
+        r = self.result
+        text = self.render(_figure7, ALUExperiment(
+            round_robin={"mesa": r(0)}, fine_grain={"mesa": r(0)},
+            base={"mesa": r(0)}))
+        assert "| mesa | 0.000 | 0.000 | 0.000 | n/a |" in text
+        assert "Average fine-grain speedup n/a over all benchmarks" in text
+        assert "sits n/a from the round-robin upper bound." in text
+        assert "1 benchmark(s) with a base IPC of 0" in text
+
+    def test_figure8(self):
+        from repro.obs.report import _figure8
+        from repro.sim.experiments import RF_CONFIGS, RegFileExperiment
+        r = self.result
+        text = self.render(_figure8, RegFileExperiment(results={
+            label: {"mesa": r(0)} for label in RF_CONFIGS}))
+        assert "priority only: n/a over all benchmarks" in text
+        assert "1 benchmark(s) with a priority only IPC of 0" in text

@@ -18,9 +18,12 @@ from repro.core.mapping import MappingKind
 from repro.core.policies import (ALL_TECHNIQUES, BASELINE, ALUPolicy,
                                  IssueQueuePolicy, RegFilePolicy,
                                  TechniqueConfig)
-from repro.pipeline.kernel import kernel_enabled
+from repro.pipeline.isa import DEFAULT_LATENCY, OpClass
+from repro.pipeline.kernel import _merge_digest, kernel_enabled
 from repro.sim.runner import SimulationConfig, Simulator
 from repro.thermal.floorplan import FloorplanVariant
+from repro.workloads.generator import SyntheticWorkload, WorkloadProfile
+from repro.workloads.trace import MaterializedTrace, ReplayTrace
 
 
 def small_config(**overrides):
@@ -116,8 +119,10 @@ class TestBitIdentity:
                               sanitize=sanitize, trace_events=trace)
         assert_identical(*run_pair(monkeypatch, config))
 
-    @pytest.mark.parametrize("bench", ["mesa", "perlbmk"])
+    @pytest.mark.parametrize("bench", ["mesa", "perlbmk", "mcf"])
     def test_other_benchmarks(self, monkeypatch, bench):
+        """mcf is memory-bound: most of its active cycles are quiescent
+        stretches the kernel fast-forwards."""
         config = small_config(benchmark=bench, techniques=ALL_TECHNIQUES,
                               variant=FloorplanVariant.ISSUE_QUEUE)
         assert_identical(*run_pair(monkeypatch, config))
@@ -136,6 +141,63 @@ class TestBitIdentity:
                               variant=FloorplanVariant.ALU,
                               max_cycles=8_000, warmup_cycles=2_000)
         assert_identical(*run_pair(monkeypatch, config))
+
+
+class TestInternalState:
+    """Beyond the results: the processor state a run ends in, select
+    counters and round-robin offsets included, matches the reference
+    loop's.  Runs that spend long stretches quiescent (mcf) or in
+    toggled queues (mesa toggles within 40k cycles, so the kernel's
+    compaction also runs in toggled mode) exercise the fast paths."""
+
+    @staticmethod
+    def run_both(monkeypatch, config, trace=None):
+        """(result, final state) under the reference loop and the
+        kernel; ``trace`` builds a fresh trace per run."""
+        outcomes = []
+        for flag in ("0", "1"):
+            monkeypatch.setenv("REPRO_KERNEL", flag)
+            sim = Simulator(config, trace=trace() if trace else None)
+            result = dataclasses.asdict(sim.run())
+            proc = sim.processor
+            arrays = [proc.int_iq._c, proc.fp_iq._c, proc._int_bank.ops,
+                      proc._fp_add_bank.ops, proc._fp_mul_bank.ops,
+                      proc.regfile._reads, proc.regfile._writes]
+            outcomes.append((result, _merge_digest(proc),
+                             [a.tolist() for a in arrays]))
+        return outcomes
+
+    @pytest.mark.parametrize("bench,techniques,cycles", [
+        ("mcf", ALL_TECHNIQUES, 8_000),
+        ("mesa", TechniqueConfig(
+            issue_queue=IssueQueuePolicy.ACTIVITY_TOGGLING), 40_000)],
+        ids=["mcf", "mesa-toggling"])
+    def test_final_state_identical(self, monkeypatch, bench, techniques,
+                                   cycles):
+        config = small_config(benchmark=bench, techniques=techniques,
+                              variant=FloorplanVariant.ISSUE_QUEUE,
+                              max_cycles=cycles, warmup_cycles=2_000)
+        reference, kernel = self.run_both(monkeypatch, config)
+        assert reference == kernel
+        if bench == "mesa":
+            assert kernel[0]["iq_toggles"] > 0
+
+    def test_fp_entries_waiting_through_quiescent_stretches(
+            self, monkeypatch):
+        """A 40-cycle FP multiply keeps FP entries waiting in their
+        queue through quiescent stretches, so the fast-forward also
+        advances the FP select counters and round-robin offset."""
+        monkeypatch.setitem(DEFAULT_LATENCY, OpClass.FP_MUL, 40)
+        profile = WorkloadProfile(
+            "fp-chain", {OpClass.FP_MUL: 0.6, OpClass.FP_ADD: 0.3,
+                         OpClass.INT_ALU: 0.1},
+            dep_mean=1.0, independent_frac=0.0)
+        config = small_config(techniques=TechniqueConfig(
+            alus=ALUPolicy.ROUND_ROBIN), max_cycles=3_000)
+        reference, kernel = self.run_both(
+            monkeypatch, config, lambda: ReplayTrace(MaterializedTrace(
+                SyntheticWorkload(profile, seed=1))))
+        assert reference == kernel
 
 
 class TestSamplingAlignment:

@@ -75,3 +75,58 @@ class TestRegFileAggregation:
         rows = self.exp().figure8_rows()
         assert rows[0][0] == "a"
         assert len(rows[0][1]) == len(RF_CONFIGS)
+
+
+class TestZeroBaseIPC:
+    """A short run spent wholly in a global stall commits nothing; a
+    speedup over it is undefined, rendered "n/a", and left out of the
+    averages with a count."""
+
+    def iq(self):
+        return IssueQueueExperiment(
+            toggling={"a": result(1200), "b": result(0)},
+            base={"a": result(1000), "b": result(0)})
+
+    def test_issue_queue(self):
+        exp = self.iq()
+        assert exp.speedup("b") is None
+        assert exp.average_speedup() == pytest.approx(0.2)
+        lines = exp.format().splitlines()
+        assert lines[4].split() == ["b", "0.000", "0.000", "n/a"]
+        assert lines[-1] == ("1 benchmark(s) with a base IPC of 0 left "
+                             "out of the averages (b).")
+
+    def test_alu(self):
+        exp = ALUExperiment(
+            round_robin={"a": result(1210), "b": result(0)},
+            fine_grain={"a": result(1200), "b": result(0)},
+            base={"a": result(1000), "b": result(0)})
+        assert exp.speedup("b") is None
+        assert exp.average_speedup() == pytest.approx(0.2)
+        assert exp.fine_grain_vs_round_robin() == pytest.approx(
+            1200 / 1210 - 1)
+        text = exp.format()
+        assert "n/a" in text
+        assert "with a base IPC of 0" in text
+        assert "with a round-robin IPC of 0" in text
+
+    def test_regfile(self):
+        results = {label: {"a": result(1000 + 100 * i), "b": result(0)}
+                   for i, label in enumerate(RF_CONFIGS)}
+        exp = RegFileExperiment(results=results)
+        assert exp.average_speedup(
+            "fine-grain + priority", "priority only") == pytest.approx(
+                1100 / 1300 - 1)
+        assert "with a priority only IPC of 0" in exp.format()
+
+    def test_all_undefined_average_is_none(self):
+        exp = IssueQueueExperiment(toggling={"b": result(0)},
+                                   base={"b": result(0)})
+        assert exp.average_speedup() is None
+        assert "average speedup (all): n/a" in exp.format()
+
+    def test_no_zero_base_renders_as_before(self):
+        text = IssueQueueExperiment(
+            toggling={"a": result(1200)}, base={"a": result(1000)}).format()
+        assert "n/a" not in text
+        assert "left out" not in text

@@ -13,8 +13,10 @@ from __future__ import annotations
 import argparse
 import cProfile
 import gc
+import hashlib
 import json
 import os
+import platform
 import pstats
 import subprocess
 import sys
@@ -23,15 +25,20 @@ import time
 from typing import Any, Callable, Dict, List, Optional
 
 from .analysis import lint as analysis_lint
+from .analysis.sanitize import sanitize_enabled
 from .core.mapping import MappingKind
 from .core.policies import (ALUPolicy, IssueQueuePolicy, RegFilePolicy,
                             TechniqueConfig)
 from .obs import report as obs_report
+from .obs.collector import trace_enabled
 from .pipeline.accel import accel_compile_s, active_backend
-from .sim.checkpoint import CheckpointStore
+from .pipeline.kernel import (batch_enabled, batch_merge_enabled,
+                              kernel_enabled)
+from .sim.checkpoint import CheckpointStore, checkpoints_enabled
 from .sim.experiments import (alu_experiment, issue_queue_experiment,
                               regfile_experiment)
-from .sim.parallel import ExperimentEngine, ResultCache, default_jobs
+from .sim.parallel import (ExperimentEngine, ResultCache, cache_enabled,
+                           default_jobs)
 from .sim.runner import SimulationConfig, Simulator, run_simulation
 from .thermal.floorplan import FloorplanVariant
 from .workloads.spec2000 import BENCHMARK_NAMES, PROFILES
@@ -59,17 +66,60 @@ def _apply_accel(args: argparse.Namespace) -> None:
         os.environ["REPRO_ACCEL"] = args.accel
 
 
-def _git_commit() -> str:
-    """Short commit hash for bench provenance, ``unknown`` outside a
-    checkout (installed package, tarball)."""
+def _git(*args: str) -> Optional[bytes]:
+    """Raw standard output of ``git <args>`` run in this package's
+    directory; ``None`` outside a checkout (installed package,
+    tarball) or when git fails."""
     try:
         proc = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            capture_output=True, text=True, timeout=10,
+            ["git", *args], capture_output=True, timeout=10,
             cwd=os.path.dirname(os.path.abspath(__file__)))
-    except OSError:
-        return "unknown"
-    return proc.stdout.strip() if proc.returncode == 0 else "unknown"
+    except (OSError, subprocess.TimeoutExpired):
+        return None
+    return proc.stdout if proc.returncode == 0 else None
+
+
+def _repro_settings() -> Dict[str, Any]:
+    """Every ``REPRO_*`` execution switch as this process resolves it,
+    defaults applied."""
+    return {
+        "REPRO_JOBS": default_jobs(),
+        "REPRO_CACHE": cache_enabled(),
+        "REPRO_CHECKPOINTS": checkpoints_enabled(),
+        "REPRO_BATCH": batch_enabled(),
+        "REPRO_BATCH_MERGE": batch_merge_enabled(),
+        "REPRO_KERNEL": kernel_enabled(),
+        "REPRO_ACCEL": active_backend(),
+        "REPRO_SANITIZE": sanitize_enabled(),
+        "REPRO_TRACE": trace_enabled(),
+    }
+
+
+def _provenance() -> Dict[str, Any]:
+    """What a bench measured: the commit, whether the package source
+    (this directory, ``src/repro`` in a checkout) differed from it
+    (tracked changes or untracked files) and a SHA-256 of the raw
+    bytes of ``git diff HEAD`` over that directory, the host's CPU
+    count and Python version, and the resolved ``REPRO_*`` settings.
+    Files outside the package, the bench's own ``BENCH_parallel.json``
+    and ``BENCH_history.jsonl`` among them, leave the flag and hash
+    alone, so a re-run on an unmodified commit records a clean tree.
+    Outside a checkout the commit reads ``unknown`` and the dirty flag
+    and diff hash ``None``."""
+    commit = _git("rev-parse", "--short", "HEAD")
+    diff = _git("diff", "HEAD", "--", ".")
+    untracked = _git("ls-files", "--others", "--exclude-standard",
+                     "--", ".")
+    return {
+        "commit": (commit.decode(errors="replace").strip()
+                   if commit else "unknown"),
+        "dirty": None if diff is None else bool(diff or untracked),
+        "diff_sha256": (None if diff is None else
+                        hashlib.sha256(diff).hexdigest()),
+        "nproc": os.cpu_count(),
+        "python": platform.python_version(),
+        "repro_settings": _repro_settings(),
+    }
 
 
 def _timed_best_of(fn: Callable[[], Any], repeats: int = 3) -> float:
@@ -167,9 +217,8 @@ def _cmd_figure(args: argparse.Namespace) -> int:
     print(experiment.format())
     stats = engine.stats
     print(f"\n[{stats.total} runs: {stats.cache_hits} cached, "
-          f"{stats.batched_runs} batched, "
           f"{stats.parallel_runs} parallel, {stats.inline_runs} inline; "
-          f"jobs={engine.jobs}]")
+          f"{stats.batched_runs} batched; jobs={engine.jobs}]")
     return 0
 
 
@@ -201,9 +250,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
         stats = engine.stats
         print(f"report written to {args.output} "
               f"[{stats.total} runs: {stats.cache_hits} cached, "
-              f"{stats.batched_runs} batched, "
               f"{stats.parallel_runs} parallel, "
-              f"{stats.inline_runs} inline]")
+              f"{stats.inline_runs} inline; "
+              f"{stats.batched_runs} batched]")
     return 0
 
 
@@ -267,13 +316,16 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     JSON report (default ``BENCH_parallel.json``).
 
     Each report is also appended as one JSON line to a history file
-    (default ``BENCH_history.jsonl``) with commit, accelerator-backend,
-    and config provenance, so the performance trajectory survives the
-    per-PR snapshot overwrite.  Accelerator compile time (numba's
-    one-time JIT cost) is absorbed by untimed warmup calls and broken
-    out as ``accel_compile_s`` rather than polluting any timed window.
+    (default ``BENCH_history.jsonl``) with provenance (see
+    :func:`_provenance`, taken before the bench writes any file),
+    accelerator backend and config, so the performance trajectory
+    survives each overwrite of the snapshot.  Accelerator compile time
+    (numba's one-time JIT cost) is absorbed by untimed warmup calls and
+    broken out as ``accel_compile_s`` rather than polluting any timed
+    window.
     """
     _apply_accel(args)
+    provenance = _provenance()
     benchmarks = (_parse_benchmarks(args.benchmarks)
                   if args.benchmarks else tuple(BENCHMARK_NAMES))
     jobs = args.jobs if args.jobs is not None else default_jobs()
@@ -360,15 +412,12 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             grid["grid_cycles_per_s"] = total_cycles / serial_wall
             grid["batched_runs"] = serial.stats.batched_runs
             grid["batch_groups"] = serial.stats.batch_groups
-            # Divergence accounting from the batched serial pass plus
-            # pool-side dispatch accounting from the cold parallel one.
+            # Divergence accounting from the batched serial pass.
             grid["fork_count"] = serial.stats.fork_count
             grid["merge_count"] = serial.stats.merge_count
             grid["batch_class_occupancy"] = {
                 str(size): waves for size, waves in
                 sorted(serial.stats.batch_class_occupancy.items())}
-            grid["offloaded_runs"] = engine.stats.offloaded_runs
-            grid["pool_fallbacks"] = engine.stats.pool_fallbacks
             report["grids"].append(grid)
             line = (f"figure {figure}: {runs} runs, "
                     f"{cold_wall:.2f}s cold "
@@ -387,10 +436,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             if grid["parallel_speedup"] < 1.0:
                 print(f"WARNING: figure {figure}: pool dispatch at "
                       f"jobs={jobs} ran SLOWER than batched serial "
-                      f"({grid['parallel_speedup']:.2f}x; "
-                      f"{grid['pool_fallbacks']} wave(s) already fell "
-                      f"back inline). Treat wall_s/cycles_per_s as a "
-                      f"regression signal, not a parallel win.",
+                      f"({grid['parallel_speedup']:.2f}x). Treat "
+                      f"wall_s/cycles_per_s as a regression signal, "
+                      f"not a parallel win.",
                       file=sys.stderr)
 
     print(f"accel backend: {report['accel_backend']}"
@@ -405,7 +453,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         entry = {
             "written_at": time.strftime("%Y-%m-%dT%H:%M:%S",
                                         time.gmtime()) + "Z",
-            "commit": _git_commit(),
+            **provenance,
             "accel_backend": report["accel_backend"],
             "accel_compile_s": report["accel_compile_s"],
             "config": {"figures": figures,
@@ -417,8 +465,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                        ("figure", "runs", "wall_s", "cycles_per_s",
                         "serial_wall_s", "grid_cycles_per_s",
                         "parallel_speedup", "batched_runs",
-                        "batch_groups", "fork_count", "merge_count",
-                        "offloaded_runs", "pool_fallbacks")}
+                        "batch_groups", "fork_count", "merge_count")}
                       for grid in report["grids"]],
         }
         with open(args.history, "a") as handle:

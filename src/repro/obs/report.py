@@ -340,9 +340,10 @@ def generate(figures: Sequence[str] = ("6", "7", "8"),
                     f"compile" if stats.accel_compile_s else "")
     report.paragraph(
         f"{stats.total} runs: {stats.cache_hits} answered from cache, "
-        f"{stats.batched_runs} batched "
-        f"(in {stats.batch_groups} lock-stepped group(s)), "
-        f"{stats.parallel_runs} parallel, {stats.inline_runs} inline; "
+        f"{stats.parallel_runs} simulated in pool workers, "
+        f"{stats.inline_runs} in-process; "
+        f"{stats.batched_runs} of the simulated runs batched "
+        f"(in {stats.batch_groups} lock-stepped group(s)); "
         f"{stats.checkpoint_restores} checkpoint restore(s); "
         f"execution backend: {stats.accel_backend}{compile_note}. "
         f"Regenerate with: repro report --figures "
@@ -351,17 +352,11 @@ def generate(figures: Sequence[str] = ("6", "7", "8"),
         occupancy = ", ".join(
             f"{waves} wave(s) x {size} class(es)" for size, waves in
             sorted(stats.batch_class_occupancy.items()))
-        offload_note = (
-            f"; {stats.offloaded_runs} follower(s) offloaded to the "
-            f"worker pool" if stats.offloaded_runs else "")
-        fallback_note = (
-            f"; {stats.pool_fallbacks} pool wave(s) fell back inline"
-            if stats.pool_fallbacks else "")
         report.paragraph(
             f"Divergence accounting: {stats.fork_count} fork(s), "
             f"{stats.merge_count} re-convergence merge(s); "
             f"per-boundary execution-class occupancy: "
-            f"{occupancy or 'n/a'}{offload_note}{fallback_note}.")
+            f"{occupancy or 'n/a'}.")
     fleet = stats.fleet_metrics
     if "temp.peak_k" in fleet:
         peak = fleet.gauge("temp.peak_k").value

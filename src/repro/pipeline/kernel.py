@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import os
 import pickle
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from .accel import AccelSession, maybe_session
 from .alu import _NEVER, _InFlight
@@ -1159,8 +1159,7 @@ class BatchStats:
     """
 
     __slots__ = ("fork_count", "merge_count", "boundaries",
-                 "class_occupancy", "snapshot_full", "snapshot_reused",
-                 "offloaded_runs")
+                 "class_occupancy", "snapshot_full", "snapshot_reused")
 
     def __init__(self) -> None:
         #: Followers that diverged from their leader and became
@@ -1178,8 +1177,6 @@ class BatchStats:
         #: Forks served by a cached copy-on-write snapshot (leader ran
         #: only bulk-skipped stall cycles since the last capture).
         self.snapshot_reused = 0
-        #: Diverged singleton classes handed to the process pool.
-        self.offloaded_runs = 0
 
     def merge_from(self, other: "BatchStats") -> None:
         self.fork_count += other.fork_count
@@ -1190,7 +1187,6 @@ class BatchStats:
                 self.class_occupancy.get(occupancy, 0) + count)
         self.snapshot_full += other.snapshot_full
         self.snapshot_reused += other.snapshot_reused
-        self.offloaded_runs += other.offloaded_runs
 
 
 class BatchRun:
@@ -1220,11 +1216,10 @@ class _ExecClass:
 
     __slots__ = ("leader", "followers", "remaining", "prev_row",
                  "session", "done", "at_boundary", "finished",
-                 "blob", "blob_stamp", "merge_wait")
+                 "blob", "blob_stamp")
 
     def __init__(self, leader: BatchRun, followers: List[BatchRun],
-                 remaining: int, store: "RunAxisStore",
-                 merge_wait: int = -1) -> None:
+                 remaining: int, store: "RunAxisStore") -> None:
         self.leader = leader
         self.followers = followers
         self.remaining = remaining
@@ -1246,10 +1241,6 @@ class _ExecClass:
         # cycle count at capture time).
         self.blob: Optional[bytes] = None
         self.blob_stamp = -1
-        # Boundaries to wait for a re-convergence merge before
-        # offering this class to the process pool (-1: never offload —
-        # initial classes are the inline backbone of the group).
-        self.merge_wait = merge_wait
 
 
 def _effective_gating(proc: "Processor") -> tuple:
@@ -1377,9 +1368,7 @@ def _leader_blob(cls: _ExecClass, stats: BatchStats) -> bytes:
 def run_batch(runs: List[BatchRun], store: "RunAxisStore",
               max_cycles: int, sample_interval: int,
               on_boundary,
-              stats: Optional[BatchStats] = None,
-              offload: Optional[Callable[[BatchRun, int], bool]] = None,
-              merge_window: int = 4) -> None:
+              stats: Optional[BatchStats] = None) -> None:
     """Step every run of one warm-state group through the macro-step
     loop in lock-step.
 
@@ -1398,10 +1387,7 @@ def run_batch(runs: List[BatchRun], store: "RunAxisStore",
     lock-step is what enables divergence tolerance: at each boundary,
     forked classes whose masked state digest re-matches another class
     fold back in as followers (:func:`_merge_digest`;
-    ``REPRO_BATCH_MERGE=0`` disables), and a forked singleton that
-    stays diverged past ``merge_window`` boundaries is offered to
-    ``offload(run, remaining_cycles)`` — when that returns True, a
-    pool worker owns the run from its current state onward.
+    ``REPRO_BATCH_MERGE=0`` disables).
     """
     if sample_interval <= 0:
         raise ValueError("batched execution requires a sampling interval")
@@ -1430,7 +1416,7 @@ def run_batch(runs: List[BatchRun], store: "RunAxisStore",
         cls.session = maybe_session(cls.leader.proc)
     try:
         _wave_loop(classes, store, sample_interval, on_boundary,
-                   stats, merging, offload, merge_window)
+                   stats, merging)
     finally:
         for cls in classes:
             if cls.session is not None:
@@ -1440,9 +1426,7 @@ def run_batch(runs: List[BatchRun], store: "RunAxisStore",
 
 def _wave_loop(classes: List[_ExecClass], store: "RunAxisStore",
                sample_interval: int, on_boundary,
-               stats: BatchStats, merging: bool,
-               offload: Optional[Callable[[BatchRun, int], bool]],
-               merge_window: int) -> None:
+               stats: BatchStats, merging: bool) -> None:
     data = store.data
     while True:
         live = [cls for cls in classes if not cls.done]
@@ -1493,9 +1477,7 @@ def _wave_loop(classes: List[_ExecClass], store: "RunAxisStore",
                     # Diverged: fork into a class of its own.
                     blob = _leader_blob(cls, stats)
                     _adopt_leader_state(follower, proc, blob, store)
-                    child = _ExecClass(
-                        follower, [], cls.remaining, store,
-                        merge_wait=merge_window if merging else 0)
+                    child = _ExecClass(follower, [], cls.remaining, store)
                     child.session = maybe_session(follower.proc)
                     forked.append(child)
                     stats.fork_count += 1
@@ -1516,22 +1498,6 @@ def _wave_loop(classes: List[_ExecClass], store: "RunAxisStore",
             if cls.finished or cls.remaining <= 0:
                 _finalize_class(cls, store, stats)
                 cls.done = True
-        # --- offload: persistent divergents go to the pool
-        if offload is not None:
-            for cls in live + forked:
-                if (cls.done or cls.followers or cls.merge_wait < 0
-                        or not cls.at_boundary):
-                    continue
-                if cls.merge_wait > 0:
-                    cls.merge_wait -= 1
-                    continue
-                if cls.session is not None:
-                    cls.session.materialize()
-                    cls.session = None
-                if offload(cls.leader, cls.remaining):
-                    cls.done = True
-                    stats.offloaded_runs += 1
-                cls.merge_wait = -1
         # --- resume accelerator sessions, record the wave
         for cls in live + forked:
             if (cls.at_boundary and not cls.done
@@ -1540,8 +1506,8 @@ def _wave_loop(classes: List[_ExecClass], store: "RunAxisStore",
         if hit_boundary:
             stats.boundaries += 1
             occupancy = sum(1 for cls in classes if not cls.done)
-            # Occupancy 0 only occurs at the boundary where offload
-            # retires the group's last class — a group exit, not a wave.
+            # Occupancy 0 only occurs at the boundary where the group's
+            # last classes complete — a group exit, not a wave.
             if occupancy:
                 stats.class_occupancy[occupancy] = (
                     stats.class_occupancy.get(occupancy, 0) + 1)

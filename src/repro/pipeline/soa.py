@@ -38,9 +38,7 @@ Layout
 
 from __future__ import annotations
 
-import os
-from multiprocessing import shared_memory
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -117,23 +115,12 @@ class RunAxisStore:
     still sharing its execution (``data[follower] += data[leader] -
     prev``) and how a forked run's own counters are preserved across
     a state restore.
-
-    With ``shared=True`` the matrix is placed in POSIX shared memory
-    (:mod:`multiprocessing.shared_memory`) so pool workers executing
-    diverged runs of the same group write their counter rows in place:
-    a worker calls :meth:`attach` with the parent's :meth:`share_spec`
-    and rebinds its row views, and no counter matrix is ever pickled
-    across the process boundary.  Workers touch only their own rows,
-    so parent and workers never write the same bytes.  The creating
-    side owns the segment and must call :meth:`close` (workers call
-    it too, to drop their mapping).
     """
 
-    __slots__ = ("n_runs", "n_cols", "data", "_segments", "_geometry",
-                 "_shm", "_owner")
+    __slots__ = ("n_runs", "n_cols", "data", "_segments")
 
     def __init__(self, n_runs: int, n_int_alus: int, n_fp_adders: int,
-                 n_rf_copies: int, shared: bool = False) -> None:
+                 n_rf_copies: int) -> None:
         if n_runs < 1:
             raise ValueError("a run-axis store needs at least one run")
         segments: Dict[str, Tuple[int, int]] = {}
@@ -157,19 +144,7 @@ class RunAxisStore:
         self.n_runs = n_runs
         self.n_cols = col
         self._segments = segments
-        self._geometry = (n_runs, n_int_alus, n_fp_adders, n_rf_copies)
-        self._shm: Optional[shared_memory.SharedMemory] = None
-        self._owner = False
-        if shared:
-            nbytes = n_runs * col * np.dtype(np.int64).itemsize
-            self._shm = shared_memory.SharedMemory(
-                create=True, size=max(nbytes, 1))
-            self._owner = True
-            self.data = np.ndarray((n_runs, col), dtype=np.int64,
-                                   buffer=self._shm.buf)
-            self.data[:] = 0
-        else:
-            self.data = np.zeros((n_runs, col), dtype=np.int64)
+        self.data = np.zeros((n_runs, col), dtype=np.int64)
 
     def view(self, run: int, name: str) -> np.ndarray:
         """Writable view of one named column segment of one run."""
@@ -179,48 +154,3 @@ class RunAxisStore:
     def row(self, run: int) -> np.ndarray:
         """Writable view of one run's whole counter row."""
         return self.data[run]
-
-    # -- shared-memory plumbing --------------------------------------
-
-    @property
-    def shared(self) -> bool:
-        return self._shm is not None
-
-    def share_spec(self) -> Tuple[str, int, int, int, int]:
-        """Opaque handle a pool worker passes to :meth:`attach`:
-        segment name plus the store geometry (the layout is a pure
-        function of the geometry, so the worker rebuilds identical
-        column segments)."""
-        if self._shm is None:
-            raise ValueError("store is not backed by shared memory")
-        return (self._shm.name, *self._geometry)
-
-    @classmethod
-    def attach(cls, spec: Tuple[str, int, int, int, int]
-               ) -> "RunAxisStore":
-        """Map an existing shared store created by another process."""
-        name, n_runs, n_int_alus, n_fp_adders, n_rf_copies = spec
-        store = cls(n_runs, n_int_alus, n_fp_adders, n_rf_copies)
-        shm = shared_memory.SharedMemory(name=name)
-        store._shm = shm
-        store._owner = False
-        store.data = np.ndarray((n_runs, store.n_cols), dtype=np.int64,
-                                buffer=shm.buf)
-        return store
-
-    def close(self) -> None:
-        """Release the shared-memory mapping (and destroy the segment
-        when this store created it).  Detaches ``data`` into a private
-        copy first so stale row views cannot touch unmapped memory.
-        Safe to call on non-shared stores and safe to call twice."""
-        shm = self._shm
-        if shm is None:
-            return
-        self._shm = None
-        self.data = self.data.copy()
-        shm.close()
-        if self._owner:
-            try:
-                shm.unlink()
-            except FileNotFoundError:  # pragma: no cover - raced cleanup
-                pass

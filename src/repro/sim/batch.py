@@ -27,16 +27,18 @@ Declined runs flow through the existing per-run kernel unchanged, and
 (batched, per-run kernel, ``REPRO_KERNEL=0`` reference loop) produce
 ``dataclasses.asdict``-identical per-run results, which
 ``tests/pipeline/test_batch.py`` asserts across the figure matrix.
+
+A group is the engine's unit of pool work: at ``jobs > 1`` each group
+runs whole inside one worker (:func:`execute_group`), so groups of a
+grid run in parallel with each other, never split across processes.
 """
 
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
 from functools import partial
 from time import perf_counter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from ..analysis.sanitize import sanitize_enabled
 from ..core.policies import IssueQueuePolicy
@@ -44,15 +46,9 @@ from ..obs.collector import trace_enabled
 from ..pipeline.kernel import BatchRun, BatchStats, run_batch
 from ..pipeline.soa import RunAxisStore
 from .checkpoint import _stable, checkpoint_key
-from .parallel import WorkerOutcome, _prepared_simulator
+from .parallel import (GroupOutcome, WorkerOutcome, _execute_config,
+                       _prepared_simulator)
 from .runner import SimulationConfig, Simulator, _gc_paused
-
-
-def batch_shm_enabled() -> bool:
-    """Whether batched groups may shard execution classes across the
-    process pool through a shared-memory counter store
-    (``REPRO_BATCH_SHM=0`` keeps every class in-process)."""
-    return os.environ.get("REPRO_BATCH_SHM", "1") != "0"
 
 
 class BatchDeclined(Exception):
@@ -72,14 +68,16 @@ def batch_key(config: SimulationConfig) -> str:
 
     The warm-checkpoint key guarantees identical post-warm-up state
     (same benchmark, seed, processor, energy, warm-relevant technique
-    fields); the cycle budget and the full thermal configuration are
-    appended because lock-step execution needs one boundary schedule
-    and comparable thermal trajectories.  Raises ``TypeError`` for
-    configs :func:`checkpoint_key` cannot key.
+    fields); the cycle budget, the floorplan and the full thermal
+    configuration are appended because lock-step execution needs one
+    boundary schedule, and batched sampling stacks per-run power
+    vectors, which only runs of one floorplan can share.  Raises
+    ``TypeError`` for configs :func:`checkpoint_key` cannot key.
     """
     payload = {
         "warm": checkpoint_key(config),
         "max_cycles": config.max_cycles,
+        "floorplan": config.variant.value,
         "thermal": _stable(config.thermal),
     }
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
@@ -111,102 +109,9 @@ def plan_groups(configs: Sequence[SimulationConfig],
     return [group for group in buckets.values() if len(group) >= 2]
 
 
-def _detach_run_axis(sim: Simulator) -> None:
-    """Rebind one simulator's counters from a (possibly shared) store
-    into a fresh private single-run store, carrying values over, so
-    the shared segment holds no exported buffer views."""
-    proc = sim.processor
-    private = RunAxisStore(1, len(proc.int_alus), len(proc.fp_adders),
-                           proc.regfile.n_copies)
-    proc.adopt_run_axis(private, 0)
-
-
-def _execute_batched_warm(config: SimulationConfig, blob: bytes,
-                          spec, row: int) -> WorkerOutcome:
-    """Pool-worker entry: restore a warm group member and run it to
-    completion, counters bound to its row of the group's shared store
-    (``spec=None`` keeps a private store)."""
-    sim = Simulator.from_checkpoint(config, blob)
-    store = None if spec is None else RunAxisStore.attach(spec)
-    if store is not None:
-        sim.processor.adopt_run_axis(store, row)
-    try:
-        result = sim.run()
-    finally:
-        if store is not None:
-            _detach_run_axis(sim)
-            store.close()
-    return WorkerOutcome(result, sanitized=False, sanitizer_checks=0,
-                         checkpoint_restored=True,
-                         stage_times=dict(sim.stage_times))
-
-
-def _execute_batched_live(config: SimulationConfig, blob: bytes,
-                          remaining: int, spec, row: int
-                          ) -> WorkerOutcome:
-    """Pool-worker entry: resume a mid-measurement run handed off at a
-    sampling boundary and finish its remaining cycles."""
-    sim = Simulator.resume_live(config, blob)
-    store = None if spec is None else RunAxisStore.attach(spec)
-    if store is not None:
-        sim.processor.adopt_run_axis(store, row)
-    try:
-        result = sim.run_remaining(remaining)
-    finally:
-        if store is not None:
-            _detach_run_axis(sim)
-            store.close()
-    return WorkerOutcome(result, sanitized=False, sanitizer_checks=0,
-                         checkpoint_restored=True,
-                         stage_times=dict(sim.stage_times))
-
-
-class BatchDispatcher:
-    """Lazily-started process pool that batched groups shard execution
-    classes onto.
-
-    The pool starts on the first submission, so grids whose classes
-    all share or merge never pay worker start-up.  One dispatcher is
-    shared across every group of a grid (the engine owns it), which
-    amortizes worker start-up the way the engine's own pool does.
-    """
-
-    def __init__(self, jobs: int) -> None:
-        if jobs < 1:
-            raise ValueError("dispatcher needs at least one worker")
-        self.jobs = jobs
-        self._executor: Optional[ProcessPoolExecutor] = None
-
-    def _pool(self) -> ProcessPoolExecutor:
-        if self._executor is None:
-            self._executor = ProcessPoolExecutor(max_workers=self.jobs)
-        return self._executor
-
-    @property
-    def started(self) -> bool:
-        return self._executor is not None
-
-    def submit_warm(self, config: SimulationConfig, blob: bytes,
-                    spec, row: int) -> "Future[WorkerOutcome]":
-        return self._pool().submit(
-            _execute_batched_warm, config, blob, spec, row)
-
-    def submit_live(self, config: SimulationConfig, blob: bytes,
-                    remaining: int, spec, row: int
-                    ) -> "Future[WorkerOutcome]":
-        return self._pool().submit(
-            _execute_batched_live, config, blob, remaining, spec, row)
-
-    def shutdown(self) -> None:
-        if self._executor is not None:
-            self._executor.shutdown()
-            self._executor = None
-
-
 def run_group(configs: Sequence[SimulationConfig],
               checkpoint_root: Optional[str] = None,
-              stats: Optional[BatchStats] = None,
-              dispatcher: Optional[BatchDispatcher] = None
+              stats: Optional[BatchStats] = None
               ) -> List[WorkerOutcome]:
     """Execute one batch-compatible group, batched.
 
@@ -216,16 +121,6 @@ def run_group(configs: Sequence[SimulationConfig],
     construction the checkpoint subsystem already guarantees.  Raises
     :class:`BatchDeclined` when the group turns out not to be
     batchable (non-replayable trace).
-
-    With a ``dispatcher``, execution classes that can never share are
-    sharded across the pool as parallel waves: follower runs whose DTM
-    reads pipeline state start as pool work immediately (they execute
-    for real from cycle zero), and forked runs that stay diverged past
-    the kernel's merge window are handed off mid-measurement from
-    their live state.  When :func:`batch_shm_enabled`, the group's
-    counter matrix lives in shared memory and workers rebind their row
-    views instead of receiving pickled counters.  A broken pool
-    degrades to finishing the affected runs in-process.
     """
     if len(configs) < 2:
         raise BatchDeclined("nothing to batch")
@@ -237,110 +132,63 @@ def run_group(configs: Sequence[SimulationConfig],
     blob = leader.capture_warm_state()
 
     proc0 = leader.processor
-    shared = dispatcher is not None and batch_shm_enabled()
     store = RunAxisStore(
         len(configs), len(proc0.int_alus), len(proc0.fp_adders),
-        proc0.regfile.n_copies, shared=shared)
-    spec = store.share_spec() if shared else None
+        proc0.regfile.n_copies)
+    sims = [leader] + [Simulator.from_checkpoint(config, blob)
+                       for config in configs[1:]]
+    runs: List[BatchRun] = []
+    for i, sim in enumerate(sims):
+        sim.processor.adopt_run_axis(store, i)
+        runs.append(BatchRun(sim.processor, i,
+                             reads_pipeline=_reads_pipeline(sim.config)))
+        sim._measure_started = True
+        sim._sample_s = 0.0
 
-    # Upfront wave sharding: follower runs that read pipeline state
-    # are singleton execution classes from wave 0 (they can never
-    # share or merge into another class), so ship them to the pool
-    # whole instead of interleaving them through the wave loop.  The
-    # leader always stays local — it owns the warm-up state.
-    sims: Dict[int, Simulator] = {0: leader}
-    futures: Dict[int, "Future[WorkerOutcome]"] = {}
-    live_jobs: Dict[int, Tuple[bytes, int]] = {}
+    start = perf_counter()
+    with _gc_paused():
+        run_batch(runs, store, configs[0].max_cycles,
+                  configs[0].thermal.sensor_interval_cycles,
+                  partial(_sample_boundary, sims), stats=stats)
+    wall_s = perf_counter() - start
+
+    # Per-run stage attribution: the measure wall clock is shared by
+    # the group, so each run is charged an even share — the sum
+    # across them equals the real elapsed time (the per-run split is
+    # bookkeeping, never part of the result payload).
+    sample_total_s = sum(sim._sample_s for sim in sims)
+    measure_share_s = (wall_s - sample_total_s) / len(sims)
+    outcomes: List[WorkerOutcome] = []
+    for i, sim in enumerate(sims):
+        sim.stage_times["sample_s"] = sim._sample_s
+        sim.stage_times["measure_s"] = measure_share_s
+        outcomes.append(WorkerOutcome(
+            sim._collect(),
+            sanitized=sim.sanitizer is not None,
+            sanitizer_checks=(0 if sim.sanitizer is None
+                              else sim.sanitizer.stats.total_checks),
+            checkpoint_restored=restored if i == 0 else True,
+            checkpoint_captured=captured if i == 0 else False,
+            stage_times=dict(sim.stage_times)))
+    return outcomes
+
+
+def execute_group(configs: Sequence[SimulationConfig],
+                  checkpoint_root: Optional[str] = None) -> GroupOutcome:
+    """Engine task entry point: run one group where it lands (a pool
+    worker, or the engine's own process).
+
+    A group that declines batching runs its members one by one
+    through the default per-run path here instead, so the task still
+    finishes as a unit.
+    """
+    stats = BatchStats()
     try:
-        for i, config in enumerate(configs[1:], start=1):
-            if dispatcher is not None and _reads_pipeline(config):
-                futures[i] = dispatcher.submit_warm(config, blob, spec, i)
-                if stats is not None:
-                    stats.offloaded_runs += 1
-            else:
-                sims[i] = Simulator.from_checkpoint(config, blob)
-
-        runs: List[BatchRun] = []
-        for i, sim in sims.items():
-            sim.processor.adopt_run_axis(store, i)
-            runs.append(BatchRun(sim.processor, i,
-                                 reads_pipeline=_reads_pipeline(sim.config)))
-            sim._measure_started = True
-            sim._sample_s = 0.0
-
-        def offload(run: BatchRun, remaining: int) -> bool:
-            """Kernel hook: hand a stubbornly-diverged singleton to the
-            pool from its live state (always at a sampling boundary)."""
-            if dispatcher is None:
-                return False
-            sim = sims[run.index]
-            live_blob = sim.capture_live_state()
-            futures[run.index] = dispatcher.submit_live(
-                sim.config, live_blob, remaining, spec, run.index)
-            live_jobs[run.index] = (live_blob, remaining)
-            return True
-
-        start = perf_counter()
-        with _gc_paused():
-            run_batch(runs, store, configs[0].max_cycles,
-                      configs[0].thermal.sensor_interval_cycles,
-                      partial(_sample_boundary, sims),
-                      stats=stats, offload=offload)
-        wall_s = perf_counter() - start
-
-        # Per-run stage attribution: the local measure wall clock is
-        # shared by the locally-finished runs, so each is charged an
-        # even share — the sum across them equals the real elapsed
-        # time (the per-run split is bookkeeping, never part of the
-        # result payload).  Pool-finished runs report their worker's
-        # own stage times.
-        outcomes: List[Optional[WorkerOutcome]] = [None] * len(configs)
-        local = [i for i in sims if i not in futures]
-        sample_total_s = sum(sims[i]._sample_s for i in local)
-        measure_share_s = (wall_s - sample_total_s) / max(1, len(local))
-        for i in local:
-            sim = sims[i]
-            sim.stage_times["sample_s"] = sim._sample_s
-            sim.stage_times["measure_s"] = measure_share_s
-            outcomes[i] = WorkerOutcome(
-                sim._collect(),
-                sanitized=sim.sanitizer is not None,
-                sanitizer_checks=(0 if sim.sanitizer is None
-                                  else sim.sanitizer.stats.total_checks),
-                checkpoint_restored=restored if i == 0 else True,
-                checkpoint_captured=captured if i == 0 else False,
-                stage_times=dict(sim.stage_times))
-
-        for i, future in futures.items():
-            try:
-                outcomes[i] = future.result()
-            except BrokenExecutor:
-                outcomes[i] = _finish_inline(configs[i], blob,
-                                             live_jobs.get(i))
-        return [outcome for outcome in outcomes if outcome is not None]
-    finally:
-        if store.shared:
-            for sim in sims.values():
-                _detach_run_axis(sim)
-        store.close()
-
-
-def _finish_inline(config: SimulationConfig, warm_blob: bytes,
-                   live_job: Optional[Tuple[bytes, int]]
-                   ) -> WorkerOutcome:
-    """Degraded path when the dispatcher's pool broke: finish a
-    dispatched run in-process from whichever state it was shipped
-    with (warm checkpoint, or live mid-measurement handoff)."""
-    if live_job is not None:
-        live_blob, remaining = live_job
-        sim = Simulator.resume_live(config, live_blob)
-        result = sim.run_remaining(remaining)
-    else:
-        sim = Simulator.from_checkpoint(config, warm_blob)
-        result = sim.run()
-    return WorkerOutcome(result, sanitized=False, sanitizer_checks=0,
-                         checkpoint_restored=True,
-                         stage_times=dict(sim.stage_times))
+        return GroupOutcome(run_group(configs, checkpoint_root,
+                                      stats=stats), stats)
+    except BatchDeclined:
+        return GroupOutcome([_execute_config(config, checkpoint_root)
+                             for config in configs], None)
 
 
 def _sample_boundary(sims: Sequence[Simulator],

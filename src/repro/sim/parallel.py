@@ -11,8 +11,8 @@ grid after an unrelated edit costs near nothing:
   fallback that never forks,
 * **submission order is preserved** — results come back in the order
   configs were given, regardless of completion order,
-* a **crashed worker pool is retried once** with the unfinished runs;
-  if it breaks again those runs degrade to inline execution in the
+* a **crashed worker pool is retried once** with the unfinished tasks;
+  if it breaks again those tasks degrade to inline execution in the
   parent (an application exception, by contrast, propagates
   immediately),
 * completed runs are **cached on disk** (``.repro-cache/`` or
@@ -25,11 +25,14 @@ Beyond whole-result memoization, the engine eliminates *within-grid*
 redundancy with warm-state checkpoints (:mod:`repro.sim.checkpoint`):
 technique variants that share a (benchmark, seed, processor, energy,
 warmup) cell fork from one post-warm-up snapshot instead of each
-re-running warm-up.  When fanning out to a pool, pending runs are
-split into a *leader* wave (one run per checkpoint key, which captures
-the checkpoint) and a *follower* wave (everything else, which restores
-it), so followers never race their leader.  Disable with
-``REPRO_CHECKPOINTS=0``.
+re-running warm-up.  Disable with ``REPRO_CHECKPOINTS=0``.
+
+The unit of pool work is a *task*: a batch group from
+:func:`repro.sim.batch.plan_groups` (run by ``execute_group`` in one
+worker) or one leftover run (run by the engine's runner).  Tasks go
+out biggest first.  A task waits for a second *follower* wave only
+when another task of the same submission captures the warm
+checkpoint it needs; a checkpoint already on disk is no dependency.
 
 Sanitized runs compose: with ``REPRO_SANITIZE=1`` each worker process
 installs the runtime sanitizer inside its own simulator and reports
@@ -43,17 +46,17 @@ import hashlib
 import json
 import os
 import pickle
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, wait
+from concurrent.futures import (BrokenExecutor, Future, ProcessPoolExecutor,
+                                wait)
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
-from time import perf_counter
 from typing import (Callable, Dict, List, Optional, Sequence, Tuple, Union)
 
 from ..analysis.sanitize import sanitize_enabled
 from ..obs.metrics import MetricsRegistry
 from ..pipeline import accel
-from ..pipeline.kernel import batch_enabled
+from ..pipeline.kernel import BatchStats, batch_enabled
 from .checkpoint import (CacheInfo, CheckpointError, CheckpointStore,
                          _stable, checkpoint_key, checkpoints_enabled,
                          code_fingerprint)
@@ -199,6 +202,16 @@ class WorkerOutcome:
     stage_times: Optional[Dict[str, float]] = None
 
 
+@dataclass(frozen=True)
+class GroupOutcome:
+    """What one batch-group task sends back: one outcome per run, in
+    group order, and the group's divergence accounting (``None`` when
+    the group declined batching and ran run by run)."""
+
+    outcomes: List[WorkerOutcome]
+    batch: Optional[BatchStats]
+
+
 def _prepared_simulator(config: SimulationConfig,
                         checkpoint_root: Optional[str]
                         ) -> Tuple[Simulator, bool, bool]:
@@ -261,31 +274,43 @@ def _execute_config(config: SimulationConfig,
 
 @dataclass
 class EngineStats:
-    """Cumulative accounting across :meth:`ExperimentEngine.run_many`."""
+    """Cumulative accounting across :meth:`ExperimentEngine.run_many`.
+
+    Every submitted run is counted once as a cache hit, a run executed
+    in a pool worker (``parallel_runs``) or a run executed in this
+    process (``inline_runs``), so ``cache_hits + parallel_runs +
+    inline_runs == total`` at any job count.
+    """
 
     total: int = 0
     cache_hits: int = 0
     parallel_runs: int = 0
     inline_runs: int = 0
+    #: Runs of pool tasks lost to a dead worker and resubmitted to a
+    #: fresh pool, and runs still unfinished after that retry, which
+    #: then ran inline.
     retried: int = 0
     degraded: int = 0
     sanitized_runs: int = 0
     sanitizer_checks: int = 0
     #: Batched-grid execution: runs absorbed into lock-stepped kernel
-    #: invocations, and how many invocations there were.
+    #: invocations, and how many invocations there were.  A batched
+    #: run is also counted as parallel or inline, wherever its group
+    #: ran.
     batched_runs: int = 0
     batch_groups: int = 0
     #: Divergence tolerance inside batched groups: gating forks, runs
-    #: folded back in by re-convergence merging, runs shipped to the
-    #: dispatcher pool (upfront pipeline-reading waves plus live
-    #: mid-measurement handoffs), and the per-boundary execution-class
-    #: occupancy histogram (classes alive at a boundary -> boundaries).
+    #: folded back in by re-convergence merging, and the per-boundary
+    #: execution-class occupancy histogram (classes alive at a
+    #: boundary -> boundaries), folded in from every group wherever it
+    #: ran.
     fork_count: int = 0
     merge_count: int = 0
-    offloaded_runs: int = 0
     batch_class_occupancy: Dict[int, int] = field(default_factory=dict)
-    #: Pool waves skipped because pool dispatch was measured slower
-    #: than the engine's own batched-serial throughput.
+    #: Always 0.  Kept so readers of the former in-group pool offload
+    #: and adaptive serial fallback counters keep working; whole
+    #: groups now go to the pool instead (DESIGN.md section 8).
+    offloaded_runs: int = 0
     pool_fallbacks: int = 0
     #: Warm-checkpoint traffic: runs that restored an existing
     #: checkpoint vs. runs that captured a fresh one.
@@ -321,6 +346,9 @@ class EngineStats:
 
 
 Runner = Callable[[SimulationConfig], WorkerOutcome]
+#: Indices of the runs one unit of execution covers: one run, or a
+#: batch group of two or more.
+Task = Tuple[int, ...]
 
 
 class ExperimentEngine:
@@ -372,12 +400,6 @@ class ExperimentEngine:
         #: custom runner's behavior cannot be replicated in a batch).
         self._default_runner = runner is None
         self.stats = EngineStats()
-        #: Adaptive serial fallback: cycles/second the batch path
-        #: achieved (measured, not modelled), and whether pool dispatch
-        #: has been observed running slower than that — once it has,
-        #: later waves of this engine stay inline (sticky).
-        self._serial_cps = 0.0
-        self._pool_slow = False
 
     # ------------------------------------------------------------------
     def run_one(self, config: SimulationConfig) -> SimulationResult:
@@ -401,37 +423,19 @@ class ExperimentEngine:
                     continue
             pending.append(i)
 
-        # Batched grid execution: compatible groups (same warm state,
-        # cycle budget, and thermal configuration) collapse into one
-        # lock-stepped kernel invocation each, executed inline — the
-        # whole point is to amortize interpreter overhead in-process,
-        # so a grid fully covered by batches never pays for a pool.
-        todo = pending
-        if todo and self._default_runner and batch_enabled():
-            todo = self._run_batches(configs, todo, results)
-
-        if self.jobs <= 1 or len(todo) <= 1:
-            # Inline runs execute in submission order, so a leader has
-            # always captured its cell's checkpoint before a follower
-            # asks the store for it — no wave split needed.
-            for i in todo:
-                results[i] = self._run_inline(configs[i])
+        tasks = self._plan_tasks(configs, pending)
+        if self.jobs <= 1 or len(tasks) <= 1:
+            # Inline tasks run groups first, then leftover runs in
+            # submission order, so a run that captures its cell's
+            # checkpoint always does so before a later run asks the
+            # store for it — no wave split needed.
+            for task in tasks:
+                self._run_inline(configs, task, results)
         else:
-            for wave in self._checkpoint_waves(configs, todo):
-                if self._pool_slow:
-                    # Pool dispatch already lost to batched-serial
-                    # execution on this engine; don't lose again.
-                    self.stats.pool_fallbacks += 1
-                    for i in wave:
-                        results[i] = self._run_inline(configs[i])
-                    continue
-                wave_cycles = sum(configs[i].max_cycles for i in wave)
-                start = perf_counter()
+            tasks.sort(key=lambda task: -sum(configs[i].max_cycles
+                                             for i in task))
+            for wave in self._checkpoint_waves(configs, tasks):
                 self._run_pool(configs, wave, results)
-                wall_s = perf_counter() - start
-                if (self._serial_cps > 0.0 and wall_s > 0.0
-                        and wave_cycles / wall_s < self._serial_cps):
-                    self._pool_slow = True
 
         if self.cache is not None:
             for i in pending:
@@ -453,89 +457,61 @@ class ExperimentEngine:
         return out
 
     # ------------------------------------------------------------------
-    def _run_batches(self, configs: Sequence[SimulationConfig],
-                     pending: List[int],
-                     results: List[Optional[SimulationResult]]
-                     ) -> List[int]:
-        """Execute batch-compatible groups of ``pending`` in-process.
+    def _plan_tasks(self, configs: Sequence[SimulationConfig],
+                    pending: Sequence[int]) -> List[Task]:
+        """Split ``pending`` into tasks: every batch-compatible group
+        (see :func:`repro.sim.batch.batch_key`) is one task, executed
+        as one lock-stepped kernel invocation, and every other run is
+        a task of its own."""
+        groups: List[List[int]] = []
+        if pending and self._default_runner and batch_enabled():
+            from .batch import plan_groups
+            groups = plan_groups(configs, pending)
+        grouped = {i for group in groups for i in group}
+        return ([tuple(group) for group in groups]
+                + [(i,) for i in pending if i not in grouped])
 
-        Returns the indices still unexecuted (ineligible runs, groups
-        of one, and groups the batch path declined at runtime) for the
-        ordinary inline/pool machinery.
-        """
-        from ..pipeline.kernel import BatchStats
-        from .batch import (BatchDeclined, BatchDispatcher,
-                            batch_shm_enabled, plan_groups, run_group)
+    def _task_call(self, configs: Sequence[SimulationConfig], task: Task
+                   ) -> Tuple[Callable[..., Union[WorkerOutcome,
+                                                  GroupOutcome]], tuple]:
+        """The picklable function and arguments that execute ``task``."""
+        if len(task) == 1:
+            return self.runner, (configs[task[0]],)
+        from .batch import execute_group
         checkpoint_root = (str(self.checkpoints.root)
                            if self.checkpoints is not None else None)
-        groups = plan_groups(configs, pending)
-        # Shared-memory parallel waves: one dispatcher serves every
-        # group of this submission, so worker start-up amortizes; it
-        # never starts at all when no group sheds an execution class.
-        dispatcher = None
-        if groups and self.jobs > 1 and batch_shm_enabled():
-            dispatcher = BatchDispatcher(self.jobs)
-        batch_stats = BatchStats()
-        batched_cycles = 0
-        start = perf_counter()
-        try:
-            for group in groups:
-                try:
-                    outcomes = run_group([configs[i] for i in group],
-                                         checkpoint_root,
-                                         stats=batch_stats,
-                                         dispatcher=dispatcher)
-                except BatchDeclined:
-                    continue
-                for i, outcome in zip(group, outcomes):
-                    results[i] = outcome.result
-                    self._note(outcome)
-                batched_cycles += sum(configs[i].max_cycles
-                                      for i in group)
-                self.stats.batched_runs += len(group)
-                self.stats.batch_groups += 1
-        finally:
-            if dispatcher is not None:
-                dispatcher.shutdown()
-        wall_s = perf_counter() - start
-        if batched_cycles and wall_s > 0.0:
-            self._serial_cps = batched_cycles / wall_s
-        stats = self.stats
-        stats.fork_count += batch_stats.fork_count
-        stats.merge_count += batch_stats.merge_count
-        stats.offloaded_runs += batch_stats.offloaded_runs
-        for occupancy, boundaries in batch_stats.class_occupancy.items():
-            stats.batch_class_occupancy[occupancy] = (
-                stats.batch_class_occupancy.get(occupancy, 0)
-                + boundaries)
-        return [i for i in pending if results[i] is None]
+        return execute_group, ([configs[i] for i in task],
+                               checkpoint_root)
 
-    # ------------------------------------------------------------------
     def _checkpoint_waves(self, configs: Sequence[SimulationConfig],
-                          pending: Sequence[int]) -> List[List[int]]:
-        """Split pool work into leader and follower waves.
+                          tasks: Sequence[Task]) -> List[List[Task]]:
+        """Split pool tasks into leader and follower waves.
 
-        The first pending run of each checkpoint key whose checkpoint
-        is not already on disk is a *leader*; it runs (and captures) in
-        the first wave so every *follower* in the second wave restores
-        instead of redundantly warming up in parallel with its leader.
+        A task whose warm checkpoint another, earlier task of this
+        submission captures is a *follower*: it runs in the second
+        wave and restores instead of redundantly warming up in
+        parallel with its leader.  A checkpoint already on disk, or a
+        config that has no checkpoint key, is no dependency.  Every
+        run of a task shares one checkpoint key (groups are keyed by
+        it), so the first run stands for the task.
         """
         if self.checkpoints is None:
-            return [list(pending)]
-        leaders: List[int] = []
-        followers: List[int] = []
+            return [list(tasks)]
+        leaders: List[Task] = []
+        followers: List[Task] = []
         claimed: set = set()
-        for i in pending:
+        for task in tasks:
             try:
-                key = checkpoint_key(configs[i])
+                key = checkpoint_key(configs[task[0]])
             except TypeError:
-                leaders.append(i)
+                leaders.append(task)
                 continue
-            if key in claimed or self.checkpoints.has(key):
-                followers.append(i)
-            else:
+            if key in claimed:
+                followers.append(task)
+                continue
+            if not self.checkpoints.has(key):
                 claimed.add(key)
-                leaders.append(i)
+            leaders.append(task)
         return [wave for wave in (leaders, followers) if wave]
 
     def _note(self, outcome: WorkerOutcome) -> None:
@@ -553,35 +529,64 @@ class ExperimentEngine:
             self.stats.measure_s += times.get("measure_s", 0.0)
             self.stats.sample_s += times.get("sample_s", 0.0)
 
-    def _run_inline(self, config: SimulationConfig) -> SimulationResult:
-        outcome = self.runner(config)
-        self._note(outcome)
-        self.stats.inline_runs += 1
-        return outcome.result
+    def _collect(self, task: Task,
+                 outcome: Union[WorkerOutcome, GroupOutcome],
+                 results: List[Optional[SimulationResult]],
+                 pooled: bool) -> None:
+        """Store a finished task's results and fold its accounting."""
+        stats = self.stats
+        if isinstance(outcome, GroupOutcome):
+            runs, batch = outcome.outcomes, outcome.batch
+        else:
+            runs, batch = [outcome], None
+        for i, run in zip(task, runs):
+            results[i] = run.result
+            self._note(run)
+        if pooled:
+            stats.parallel_runs += len(task)
+        else:
+            stats.inline_runs += len(task)
+        if batch is None:
+            return
+        stats.batched_runs += len(task)
+        stats.batch_groups += 1
+        stats.fork_count += batch.fork_count
+        stats.merge_count += batch.merge_count
+        for occupancy, boundaries in batch.class_occupancy.items():
+            stats.batch_class_occupancy[occupancy] = (
+                stats.batch_class_occupancy.get(occupancy, 0)
+                + boundaries)
+
+    def _run_inline(self, configs: Sequence[SimulationConfig], task: Task,
+                    results: List[Optional[SimulationResult]]) -> None:
+        fn, args = self._task_call(configs, task)
+        self._collect(task, fn(*args), results, pooled=False)
 
     def _run_pool(self, configs: Sequence[SimulationConfig],
-                  pending: Sequence[int],
+                  tasks: Sequence[Task],
                   results: List[Optional[SimulationResult]]) -> None:
-        """Fan ``pending`` over worker pools.
+        """Fan ``tasks`` over worker pools, in the order given.
 
         A broken pool (a worker died without reporting — segfault,
-        ``os._exit``, OOM kill) leaves its unfinished runs to one
+        ``os._exit``, OOM kill) leaves its unfinished tasks to one
         fresh-pool retry, then to inline execution.  Application
-        exceptions raised by a run propagate immediately.
+        exceptions raised by a task propagate immediately.
         """
-        remaining = list(pending)
+        remaining = list(tasks)
         for attempt in range(2):
             if not remaining:
                 return
             if attempt == 1:
-                self.stats.retried += len(remaining)
+                self.stats.retried += sum(len(task) for task in remaining)
             broken = False
             error: Optional[BaseException] = None
             try:
                 with ProcessPoolExecutor(
                         max_workers=min(self.jobs, len(remaining))) as pool:
-                    futures = {pool.submit(self.runner, configs[i]): i
-                               for i in remaining}
+                    futures: Dict[Future, Task] = {}
+                    for task in remaining:
+                        fn, args = self._task_call(configs, task)
+                        futures[pool.submit(fn, *args)] = task
                     for future in wait(futures).done:
                         exc = future.exception()
                         if isinstance(exc, BrokenExecutor):
@@ -589,20 +594,19 @@ class ExperimentEngine:
                         elif exc is not None:
                             error = exc
                         else:
-                            outcome = future.result()
-                            results[futures[future]] = outcome.result
-                            self._note(outcome)
-                            self.stats.parallel_runs += 1
-                            remaining.remove(futures[future])
+                            task = futures[future]
+                            self._collect(task, future.result(), results,
+                                          pooled=True)
+                            remaining.remove(task)
             except BrokenExecutor:  # pragma: no cover - racy submit path
                 broken = True
             if error is not None:
                 raise error
             if not broken:
                 return
-        self.stats.degraded += len(remaining)
-        for i in remaining:
-            results[i] = self._run_inline(configs[i])
+        self.stats.degraded += sum(len(task) for task in remaining)
+        for task in remaining:
+            self._run_inline(configs, task, results)
 
 
 def run_experiments(configs: Sequence[SimulationConfig],

@@ -292,7 +292,7 @@ class Simulator:
         return sim
 
     # ------------------------------------------------------------------
-    # mid-measurement live-state handoff (batched-grid offload)
+    # mid-measurement live-state handoff
     # ------------------------------------------------------------------
     #: Format version of :meth:`capture_live_state` blobs.
     LIVE_STATE_VERSION = 1
@@ -305,9 +305,8 @@ class Simulator:
         accumulates *during* measurement: the power accountant's
         interval baseline and energy totals, the thermal node
         temperatures, the per-block sensor histories, and the DTM
-        controller state.  Must be captured at a sampling boundary
-        (the batched kernel's offload hook guarantees that), so no
-        mid-interval accounting is in flight.
+        controller state.  Must be captured at a sampling boundary, so
+        no mid-interval accounting is in flight.
         """
         trace = self.processor.fetch.trace
         if not isinstance(trace, ReplayTrace):

@@ -24,8 +24,7 @@ from repro.core.policies import (ALUPolicy, IssueQueuePolicy,
 from repro.pipeline.kernel import BatchStats, batch_enabled
 from repro.pipeline.soa import RunAxisStore
 from repro.sim import batch as batch_mod
-from repro.sim.batch import (BatchDispatcher, batch_key,
-                             batch_shm_enabled, plan_groups, run_group)
+from repro.sim.batch import batch_key, plan_groups, run_group
 from repro.sim.parallel import ExperimentEngine, WorkerOutcome
 from repro.sim.runner import SimulationConfig, Simulator
 from repro.thermal.floorplan import FloorplanVariant
@@ -133,6 +132,15 @@ class TestPlanGroups:
         b = config("gzip", max_cycles=5_000)
         assert batch_key(a) != batch_key(b)
         assert batch_key(a) == batch_key(config("gzip"))
+
+    def test_batch_key_separates_floorplans(self):
+        """Runs that share a warm state but not a floorplan never
+        group: batched sampling stacks per-run power vectors, whose
+        length is the floorplan's block count."""
+        configs = [config("gzip", FloorplanVariant.ISSUE_QUEUE),
+                   config("gzip", FloorplanVariant.ALU),
+                   config("gzip", FloorplanVariant.ALU)]
+        assert plan_groups(configs, range(len(configs))) == [[1, 2]]
 
 
 class TestBatchIdentity:
@@ -245,8 +253,8 @@ class TestDecline:
 
 class TestEngineBookkeeping:
     def test_pool_skipped_when_batch_covers_grid(self, monkeypatch):
-        """With the whole grid in one batch group there is nothing
-        left for the worker pool even at jobs > 1."""
+        """With the whole grid in one batch group the submission is one
+        task, which runs inline even at jobs > 1."""
         monkeypatch.setenv("REPRO_BATCH", "1")
         monkeypatch.setenv("REPRO_KERNEL", "1")
         engine = ExperimentEngine(jobs=2, use_cache=False,
@@ -256,10 +264,37 @@ class TestEngineBookkeeping:
             raise AssertionError("worker pool must not start")
 
         monkeypatch.setattr(engine, "_run_pool", no_pool)
-        results = engine.run_many(fig8_grid())
-        assert len(results) == 4
-        assert engine.stats.batched_runs == 4
+        results = engine.run_many(fig8_grid()[:2])
+        assert len(results) == 2
+        assert engine.stats.batched_runs == 2
+        assert engine.stats.batch_groups == 1
         assert engine.stats.parallel_runs == 0
+        assert engine.stats.inline_runs == 2
+
+    def test_groups_go_to_pool_whole(self, monkeypatch):
+        """A two-group grid at jobs=2 sends each group to the pool as
+        one task, and every run is counted as pooled and batched."""
+        monkeypatch.setenv("REPRO_BATCH", "1")
+        monkeypatch.setenv("REPRO_KERNEL", "1")
+        engine = ExperimentEngine(jobs=2, use_cache=False,
+                                  use_checkpoints=False)
+        waves = []
+        run_pool = engine._run_pool
+
+        def spy(configs, tasks, results):
+            waves.append(list(tasks))
+            run_pool(configs, tasks, results)
+
+        monkeypatch.setattr(engine, "_run_pool", spy)
+        configs = fig8_grid()
+        results = engine.run_many(configs)
+        assert waves == [[(0, 1), (2, 3)]]
+        stats = engine.stats
+        assert stats.parallel_runs == stats.batched_runs == 4
+        assert stats.batch_groups == 2
+        assert stats.inline_runs == 0
+        serial, _ = run_grid(monkeypatch, configs)
+        assert_all_identical(results, serial)
 
     def test_custom_runner_bypasses_batching(self, monkeypatch):
         monkeypatch.setenv("REPRO_BATCH", "1")
@@ -438,89 +473,53 @@ class TestDivergenceMerging:
         assert sum(stats.batch_class_occupancy.values()) > 0
 
 
-class TestSharedMemoryWaves:
-    """Dispatcher-backed parallel waves: warm offload of singleton
-    classes, live mid-measurement handoff, and the shared-memory
-    counter store — all bit-identical to serial execution."""
+def figure_grid(**overrides):
+    """The figure-6/7/8 technique matrix over two benchmarks: a
+    toggling/base issue-queue pair, a round-robin + fine-grain/base
+    ALU triple, and the four register-file configurations each.  The
+    pipeline-reading toggler leads the gzip pair and follows in the
+    mesa pair."""
+    toggling, base = (IssueQueuePolicy.ACTIVITY_TOGGLING,
+                      IssueQueuePolicy.BASE)
+    grid = []
+    for bench, pair in (("gzip", (toggling, base)),
+                        ("mesa", (base, toggling))):
+        grid += [config(bench, FloorplanVariant.ISSUE_QUEUE,
+                        TechniqueConfig(issue_queue=policy), **overrides)
+                 for policy in pair]
+        grid += [config(bench, FloorplanVariant.ALU,
+                        TechniqueConfig(alus=policy), **overrides)
+                 for policy in (ALUPolicy.ROUND_ROBIN, ALUPolicy.FINE_GRAIN,
+                                ALUPolicy.BASE)]
+        grid += [config(bench, FloorplanVariant.REGFILE,
+                        TechniqueConfig(regfile=RegFilePolicy(kind, fine)),
+                        **overrides)
+                 for kind in (MappingKind.BALANCED, MappingKind.PRIORITY)
+                 for fine in (True, False)]
+    return grid
 
-    def toggling_group(self):
-        return [config("gzip", FloorplanVariant.ISSUE_QUEUE,
-                       TechniqueConfig(issue_queue=policy))
-                for policy in (IssueQueuePolicy.BASE,
-                               IssueQueuePolicy.ACTIVITY_TOGGLING)]
 
-    def test_shm_default_on(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BATCH_SHM", raising=False)
-        assert batch_shm_enabled() is True
+class TestParallelGroups:
+    """At jobs > 1 each batch group runs whole in a pool worker: the
+    results and the divergence accounting read as at jobs=1."""
 
-    def test_shm_env_disables(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCH_SHM", "0")
-        assert batch_shm_enabled() is False
-
-    def test_warm_offload_identity(self):
-        """A pipeline-reading follower ships to the pool whole and
-        comes back identical to running it locally."""
-        configs = self.toggling_group()
-        stats = BatchStats()
-        dispatcher = BatchDispatcher(jobs=2)
-        try:
-            outcomes = run_group(configs, stats=stats,
-                                 dispatcher=dispatcher)
-        finally:
-            dispatcher.shutdown()
-        assert stats.offloaded_runs == 1
-        assert_outcomes_match(outcomes,
-                              [Simulator(cfg).run() for cfg in configs])
-
-    def test_live_offload_identity(self, monkeypatch):
-        """A forked singleton that stays diverged is handed off
-        mid-measurement from its live state; the pool worker finishes
-        it bit-identically."""
-        monkeypatch.setenv("REPRO_BATCH_MERGE", "0")
-        schedule = {(1_250, 1): True}  # diverge once, never return
-        install_gating_schedule(monkeypatch, schedule)
-        configs = divergence_grid()
-        stats = BatchStats()
-        dispatcher = BatchDispatcher(jobs=2)
-        try:
-            outcomes = run_group(configs, stats=stats,
-                                 dispatcher=dispatcher)
-        finally:
-            dispatcher.shutdown()
-        assert stats.fork_count == 1
-        assert stats.offloaded_runs == 1
-        assert_outcomes_match(outcomes, solo_results(configs))
-
-    def test_shm_disabled_dispatch_identity(self, monkeypatch):
-        """REPRO_BATCH_SHM=0 keeps the store private: workers receive
-        no share spec and still return identical results."""
-        monkeypatch.setenv("REPRO_BATCH_SHM", "0")
-        configs = self.toggling_group()
-        stats = BatchStats()
-        dispatcher = BatchDispatcher(jobs=2)
-        try:
-            outcomes = run_group(configs, stats=stats,
-                                 dispatcher=dispatcher)
-        finally:
-            dispatcher.shutdown()
-        assert stats.offloaded_runs == 1
-        assert_outcomes_match(outcomes,
-                              [Simulator(cfg).run() for cfg in configs])
-
-    def test_engine_pool_waves_match_serial(self, monkeypatch):
-        """The whole engine path at jobs=2 (dispatcher, shared store,
-        warm offloads) equals the jobs=1 batched-serial grid.  BASE
-        leads each group so the pipeline-reading follower actually
-        ships to the pool."""
-        configs = [config(bench, FloorplanVariant.ISSUE_QUEUE,
-                          TechniqueConfig(issue_queue=policy))
-                   for bench in ("gzip", "mesa")
-                   for policy in (IssueQueuePolicy.BASE,
-                                  IssueQueuePolicy.ACTIVITY_TOGGLING)]
-        parallel, par_stats = run_grid(monkeypatch, configs, jobs=2)
-        serial, _ = run_grid(monkeypatch, configs, jobs=1)
+    def test_pool_groups_match_serial(self, monkeypatch):
+        configs = figure_grid()
+        parallel, par = run_grid(monkeypatch, configs, jobs=2)
+        serial, ser = run_grid(monkeypatch, configs, jobs=1)
+        per_run, _ = run_grid(monkeypatch, configs, batch="0")
         assert_all_identical(parallel, serial)
-        assert par_stats.offloaded_runs >= 1
+        assert_all_identical(parallel, per_run)
+        for field in ("batched_runs", "batch_groups", "fork_count",
+                      "merge_count", "batch_class_occupancy"):
+            assert getattr(par, field) == getattr(ser, field), field
+        assert par.batched_runs > 0 and par.batch_class_occupancy
+        assert par.parallel_runs == len(configs)
+        assert ser.inline_runs == len(configs)
+        for stats in (par, ser):
+            assert (stats.cache_hits + stats.parallel_runs
+                    + stats.inline_runs == stats.total)
+            assert stats.offloaded_runs == stats.pool_fallbacks == 0
 
 
 class TestThroughput:

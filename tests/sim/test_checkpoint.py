@@ -124,6 +124,38 @@ class TestCapture:
             simulator.capture_warm_state()
 
 
+class TestLiveState:
+    """Mid-measurement handoff: a run captured at a sampling boundary,
+    resumed in a fresh simulator and finished there is the run that
+    never stopped."""
+
+    @pytest.mark.parametrize("config", [
+        small_config(benchmark="perlbmk", variant=FloorplanVariant.ALU,
+                     techniques=TechniqueConfig(alus=ALUPolicy.FINE_GRAIN)),
+        small_config(benchmark="mesa",
+                     variant=FloorplanVariant.ISSUE_QUEUE,
+                     techniques=TechniqueConfig(
+                         issue_queue=IssueQueuePolicy.ACTIVITY_TOGGLING)),
+    ], ids=["fine-grain-alu", "activity-toggling"])
+    def test_resume_matches_uninterrupted_run(self, config):
+        interval = config.thermal.sensor_interval_cycles
+        first_leg = 3 * interval
+        donor = Simulator(config)
+        donor.prepare()
+        donor.processor.run(first_leg, on_sample=donor._on_sample,
+                            sample_interval=interval)
+        assert donor.processor.now % interval == 0  # at a boundary
+        resumed = Simulator.resume_live(config,
+                                        donor.capture_live_state())
+        result = resumed.run_remaining(config.max_cycles - first_leg)
+        assert (dataclasses.asdict(result)
+                == dataclasses.asdict(Simulator(config).run()))
+
+    def test_corrupt_live_state_raises(self):
+        with pytest.raises(CheckpointError, match="live state"):
+            Simulator.resume_live(small_config(), b"garbage")
+
+
 # ---------------------------------------------------------------------------
 # key sharing and invalidation
 # ---------------------------------------------------------------------------
@@ -287,3 +319,53 @@ class TestEngineIntegration:
         stages = engine.stats.stage_seconds()
         assert stages["warmup_s"] > 0
         assert stages["measure_s"] > 0
+
+
+class TestCheckpointWaves:
+    """Pool waves at jobs > 1: a task waits for the second wave only
+    when another task of the same submission captures its warm
+    checkpoint."""
+
+    def run_spied(self, monkeypatch, grid, store):
+        engine = ExperimentEngine(jobs=2, use_cache=False, checkpoints=store)
+        waves = []
+        run_pool = engine._run_pool
+
+        def spy(configs, tasks, results):
+            waves.append(list(tasks))
+            run_pool(configs, tasks, results)
+
+        monkeypatch.setattr(engine, "_run_pool", spy)
+        results = engine.run_many(grid)
+        fresh = ExperimentEngine(jobs=1, use_cache=False,
+                                 use_checkpoints=False).run_many(grid)
+        for a, b in zip(results, fresh):
+            assert dataclasses.asdict(a) == dataclasses.asdict(b)
+        return waves, engine.stats
+
+    def test_checkpoints_on_disk_make_one_wave(self, tmp_path,
+                                               monkeypatch):
+        grid = technique_grid()
+        ExperimentEngine(jobs=1, use_cache=False,
+                         checkpoints=tmp_path).run_many(grid)
+        waves, stats = self.run_spied(monkeypatch, grid, tmp_path)
+        assert len(waves) == 1
+        assert stats.checkpoint_captures == 0
+        assert stats.checkpoint_restores == len(grid)
+
+    def test_uncaptured_shared_key_splits_waves(self, tmp_path,
+                                                monkeypatch):
+        """Two gzip runs that batch apart (different cycle budgets) but
+        share a warm checkpoint nobody has captured split into leader
+        and follower waves, the bigger one leading although submitted
+        last; mesa, whose checkpoint is already on disk, depends on
+        nobody and goes out with the leader."""
+        grid = [small_config(benchmark="gzip", max_cycles=2_500),
+                small_config(benchmark="mesa"),
+                small_config(benchmark="gzip")]
+        store = CheckpointStore(tmp_path)
+        store.put(checkpoint_key(grid[1]), capture_blob(grid[1]))
+        waves, stats = self.run_spied(monkeypatch, grid, store)
+        assert waves == [[(1,), (2,)], [(0,)]]
+        assert stats.checkpoint_captures == 1
+        assert stats.checkpoint_restores == 2

@@ -11,11 +11,15 @@ import os
 
 import pytest
 
+from repro.core.mapping import MappingKind
+from repro.core.policies import RegFilePolicy, TechniqueConfig
+from repro.sim import batch as batch_mod
 from repro.sim.experiments import issue_queue_experiment
 from repro.sim.parallel import (ExperimentEngine, ResultCache,
                                 WorkerOutcome, _execute_config,
                                 config_key, default_jobs, run_experiments)
 from repro.sim.runner import SimulationConfig
+from repro.thermal.floorplan import FloorplanVariant
 
 
 def small_config(**overrides):
@@ -219,6 +223,73 @@ class TestCrashHandling:
                                   runner=_raising_runner)
         with pytest.raises(ValueError, match="boom from worker"):
             engine.run_many(small_grid()[:2])
+
+
+def two_group_grid():
+    """Four register-file runs that batch as two groups of two (the
+    mapping kind is warm-relevant)."""
+    return [small_config(variant=FloorplanVariant.REGFILE,
+                         techniques=TechniqueConfig(
+                             regfile=RegFilePolicy(kind, fine)))
+            for kind in (MappingKind.BALANCED, MappingKind.PRIORITY)
+            for fine in (True, False)]
+
+
+class TestGroupTaskDeath:
+    """A pool worker killed while it runs a batch-group task: the
+    group is retried on a fresh pool, then run inline, and the grid
+    still comes back identical to jobs=1 with no temp file left."""
+
+    def kill_workers(self, monkeypatch, flag=None):
+        """Make the batched sampling hook ``os._exit`` in any process
+        but this one (only the first time, when ``flag`` names a file
+        that marks the first death)."""
+        parent = os.getpid()
+        sample = batch_mod._sample_boundary
+
+        def dying_sample(sims, class_runs):
+            if os.getpid() != parent and (flag is None
+                                          or not flag.exists()):
+                if flag is not None:
+                    flag.touch()
+                os._exit(19)
+            sample(sims, class_runs)
+
+        monkeypatch.setattr(batch_mod, "_sample_boundary", dying_sample)
+
+    def run_and_check(self, tmp_path):
+        grid = two_group_grid()
+        engine = ExperimentEngine(jobs=2,
+                                  cache=ResultCache(tmp_path / "cache"))
+        results = engine.run_many(grid)
+        serial = ExperimentEngine(jobs=1, use_cache=False,
+                                  use_checkpoints=False).run_many(grid)
+        for a, b in zip(results, serial):
+            assert dataclasses.asdict(a) == dataclasses.asdict(b)
+        assert not [path for path in tmp_path.rglob("*")
+                    if ".tmp" in path.name]
+        assert list((tmp_path / "cache" / "checkpoints").rglob("*.pkl"))
+        stats = engine.stats
+        assert stats.batched_runs == len(grid)
+        assert (stats.cache_hits + stats.parallel_runs
+                + stats.inline_runs == stats.total == len(grid))
+        return stats
+
+    def test_persistent_death_retries_then_runs_inline(self, monkeypatch,
+                                                       tmp_path):
+        self.kill_workers(monkeypatch)
+        stats = self.run_and_check(tmp_path)
+        assert stats.retried == stats.degraded == 4
+        assert stats.inline_runs == 4
+        assert stats.parallel_runs == 0
+
+    def test_single_death_is_retried_in_a_fresh_pool(self, monkeypatch,
+                                                     tmp_path):
+        self.kill_workers(monkeypatch, flag=tmp_path / "died")
+        stats = self.run_and_check(tmp_path)
+        assert stats.retried >= 2
+        assert stats.degraded == 0
+        assert stats.parallel_runs == 4
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,14 @@
 """Tests for the command-line interface."""
 
+import hashlib
 import json
+import os
+import platform
+import subprocess
 
 import pytest
 
+from repro import cli
 from repro.cli import build_parser, main
 from repro.obs.events import event_from_dict
 
@@ -68,7 +73,12 @@ class TestBench:
         assert len(lines) == 1
         entry = json.loads(lines[0])
         assert entry["commit"]
+        for key in ("dirty", "diff_sha256", "nproc", "python",
+                    "repro_settings"):
+            assert key in entry
         assert entry["accel_backend"] == "kernel"
+        assert not {"offloaded_runs", "pool_fallbacks"} & (
+            set(entry["grids"][0]) | set(report["grids"][0]))
         assert entry["config"] == {
             "figures": ["7"], "benchmarks": ["parser"],
             "cycles": 1500, "seed": 1, "jobs": 2}
@@ -85,6 +95,102 @@ class TestBench:
         assert args.accel == "numpy"
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "gzip", "--accel", "jax"])
+
+
+class TestBenchProvenance:
+    """``repro bench`` history provenance, with ``git`` stubbed."""
+
+    PACKAGE = os.path.dirname(os.path.abspath(cli.__file__))
+
+    def stub_git(self, monkeypatch, outputs):
+        """Answer ``git <subcommand> ...`` from ``outputs`` (raw
+        bytes); a missing subcommand fails like git outside a
+        checkout."""
+
+        def fake_run(argv, **kwargs):
+            assert argv[0] == "git"
+            out = outputs.get(argv[1])
+            if out is None:
+                return subprocess.CompletedProcess(argv, 128, b"", b"")
+            return subprocess.CompletedProcess(argv, 0, out, b"")
+
+        monkeypatch.setattr(cli.subprocess, "run", fake_run)
+
+    def test_dirty_tree_records_diff_hash(self, monkeypatch):
+        diff = b"diff --git a/x b/x\n+edit\n"
+        self.stub_git(monkeypatch, {"rev-parse": b"abc1234\n",
+                                    "diff": diff, "ls-files": b""})
+        monkeypatch.setenv("REPRO_BATCH", "0")
+        monkeypatch.setenv("REPRO_JOBS", "3")
+        prov = cli._provenance()
+        assert prov["commit"] == "abc1234"
+        assert prov["dirty"] is True
+        assert prov["diff_sha256"] == hashlib.sha256(diff).hexdigest()
+        assert prov["nproc"] == os.cpu_count()
+        assert prov["python"] == platform.python_version()
+        settings = prov["repro_settings"]
+        assert settings["REPRO_BATCH"] is False
+        assert settings["REPRO_JOBS"] == 3
+        assert settings["REPRO_BATCH_MERGE"] is True
+        assert "REPRO_BATCH_SHM" not in settings
+
+    def test_non_utf8_diff_is_hashed_raw(self, monkeypatch):
+        diff = b"diff --git a/blob b/blob\n+\xff\xfe\x80\n"
+        self.stub_git(monkeypatch, {"rev-parse": b"abc1234\n",
+                                    "diff": diff, "ls-files": b""})
+        prov = cli._provenance()
+        assert prov["dirty"] is True
+        assert prov["diff_sha256"] == hashlib.sha256(diff).hexdigest()
+
+    def test_bench_outputs_leave_the_tree_clean(self, monkeypatch):
+        """A tree whose one change is the bench's own history file
+        reads clean: the diff and untracked listing are limited to the
+        package directory, which the history file is outside of."""
+        history = (b"diff --git a/BENCH_history.jsonl "
+                   b"b/BENCH_history.jsonl\n+{}\n")
+        calls = []
+
+        def fake_run(argv, cwd=None, **kwargs):
+            calls.append((argv[1], argv[2:], cwd))
+            if argv[1] == "rev-parse":
+                return subprocess.CompletedProcess(argv, 0, b"abc1234\n",
+                                                   b"")
+            in_package = argv[-2:] == ["--", "."] and cwd == self.PACKAGE
+            out = history if argv[1] == "diff" and not in_package else b""
+            return subprocess.CompletedProcess(argv, 0, out, b"")
+
+        monkeypatch.setattr(cli.subprocess, "run", fake_run)
+        prov = cli._provenance()
+        assert prov["dirty"] is False
+        assert prov["diff_sha256"] == hashlib.sha256(b"").hexdigest()
+        assert {name for name, _, _ in calls} == {"rev-parse", "diff",
+                                                 "ls-files"}
+
+    def test_untracked_file_marks_dirty(self, monkeypatch):
+        self.stub_git(monkeypatch, {"rev-parse": b"abc1234\n",
+                                    "diff": b"",
+                                    "ls-files": b"new_file.py\n"})
+        prov = cli._provenance()
+        assert prov["dirty"] is True
+        assert prov["diff_sha256"] == hashlib.sha256(b"").hexdigest()
+
+    def test_clean_tree(self, monkeypatch):
+        self.stub_git(monkeypatch, {"rev-parse": b"abc1234\n",
+                                    "diff": b"", "ls-files": b""})
+        assert cli._provenance()["dirty"] is False
+
+    def test_outside_a_checkout(self, monkeypatch):
+        self.stub_git(monkeypatch, {})
+        prov = cli._provenance()
+        assert prov["commit"] == "unknown"
+        assert prov["dirty"] is None and prov["diff_sha256"] is None
+
+    def test_missing_git(self, monkeypatch):
+        def no_git(argv, **kwargs):
+            raise FileNotFoundError(argv[0])
+
+        monkeypatch.setattr(cli.subprocess, "run", no_git)
+        assert cli._provenance()["commit"] == "unknown"
 
 
 class TestRunTracing:

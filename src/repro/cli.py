@@ -18,6 +18,7 @@ import json
 import os
 import platform
 import pstats
+import signal
 import subprocess
 import sys
 import tempfile
@@ -30,6 +31,7 @@ from .core.mapping import MappingKind
 from .core.policies import (ALUPolicy, IssueQueuePolicy, RegFilePolicy,
                             TechniqueConfig)
 from .obs import report as obs_report
+from .obs import stages as obs_stages
 from .obs.collector import trace_enabled
 from .pipeline.accel import accel_compile_s, active_backend
 from .pipeline.kernel import (batch_enabled, batch_merge_enabled,
@@ -281,7 +283,9 @@ def _cmd_cache(args: argparse.Namespace) -> int:
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
-    """Profile one simulation under cProfile and print hot spots."""
+    """Profile one simulation under cProfile and print hot spots, then
+    run it again unprofiled under a SIGPROF sampler and print how the
+    kernel's time splits by pipeline stage (``repro.obs.stages``)."""
     config = SimulationConfig(
         benchmark=args.benchmark,
         variant=FloorplanVariant(args.variant),
@@ -298,6 +302,19 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     print("stage wall-clock breakdown:")
     for name, seconds in sorted(simulator.stage_times.items()):
         print(f"  {name:10s} {seconds:8.3f}s ({seconds / total:5.1%})")
+    if not hasattr(signal, "setitimer"):
+        print("kernel stage split: needs signal.setitimer (POSIX)")
+        return 0
+    cpu_s = time.process_time()
+    _, counts = obs_stages.sample_stages(Simulator(config).run)
+    cpu_s = time.process_time() - cpu_s
+    samples = sum(counts.values())
+    print(f"kernel stage split (unprofiled re-run, {samples} SIGPROF "
+          f"samples over {cpu_s:.2f}s of CPU; approximate):")
+    for label in [*obs_stages.stage_labels(), obs_stages.NO_LINE,
+                  obs_stages.OUTSIDE]:
+        share = counts[label] / samples if samples else 0.0
+        print(f"  {label:20s} {share:6.1%}")
     return 0
 
 
@@ -591,8 +608,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     profile_p = sub.add_parser(
         "profile", help="profile one simulation run (cProfile) and "
-                        "print the hottest functions plus the "
-                        "per-stage wall-clock breakdown")
+                        "print the hottest functions, the per-stage "
+                        "wall-clock breakdown, and the kernel's "
+                        "sampled split by pipeline stage")
     profile_p.add_argument("benchmark", choices=BENCHMARK_NAMES)
     profile_p.add_argument("--variant", default="base",
                            choices=[v.value for v in FloorplanVariant])

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import os
 import pickle
+from bisect import insort
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from .accel import AccelSession, maybe_session
@@ -150,6 +151,17 @@ def _run_chunk(proc: "Processor", n_cycles: int) -> Tuple[int, bool]:
     active list empty).  All mutated scalars are written back in the
     ``finally`` block, so the processor object is consistent even if a
     model invariant raises mid-chunk.
+
+    Issue is readiness-driven: each queue keeps its un-issued entries
+    with empty waiting sets in a ready list (INT, FP-add, FP-mul),
+    sorted by a per-chunk *rank*.  A queue's mode only changes at
+    boundaries, both compaction paths keep survivors in relative
+    order, and dispatch inserts at the tail, so select order within a
+    chunk is rank order: the logical position at the hoist, then a
+    dispatch counter starting past every position.  Dispatch appends,
+    a wakeup insorts, a grant deletes the granted prefix.  Counters
+    that follow from the grants (issued ops, queue grants, unit ops,
+    register-file reads) are derived once, in the flush.
     """
     # ---- hoist: everything the cycle body touches ---------------------
     now = proc.now
@@ -162,7 +174,6 @@ def _run_chunk(proc: "Processor", n_cycles: int) -> Tuple[int, bool]:
     st_committed = st.committed
     st_stall = st.stall_cycles
     st_throttled = st.throttled_cycles
-    st_issued = st.issued
 
     stalled_until = proc.stalled_until
     throttled_until = proc.throttled_until
@@ -185,7 +196,6 @@ def _run_chunk(proc: "Processor", n_cycles: int) -> Tuple[int, bool]:
     amap = rename._map
     free_list = rename._free
     free_pop = free_list.pop
-    free_set = rename._free_set
     ready_set = rename._ready
     ready_add = ready_set.add
     ready_discard = ready_set.discard
@@ -254,11 +264,10 @@ def _run_chunk(proc: "Processor", n_cycles: int) -> Tuple[int, bool]:
     # whole per-unit scan on cycles where nothing can drain.  Kept
     # current at every site that lowers a unit's next-finish.
     min_nf = min(nf)
-    int_ops_acc = [0] * n_int
-    fp_ops_acc = [0] * n_fp
-    mul_ops_acc = 0
     latency_of = DEFAULT_LATENCY
-    mk_inflight = _InFlight
+    # Records are built without ``__init__``: a slot store per field
+    # costs less than a dataclass call.
+    new = object.__new__
     # Busy flags only flip at sample boundaries and ``_blocked_until``
     # is only written by INT_MUL issue, which FP units never execute —
     # so the FP gating inputs are chunk-constant.
@@ -274,48 +283,58 @@ def _run_chunk(proc: "Processor", n_cycles: int) -> Tuple[int, bool]:
                        for i, u in enumerate(int_alus)]
     mapping = proc.mapping
     copies_for = [mapping.copies_for(i) for i in range(n_int)]
-    n_copies = regfile.n_copies
-    rf_read_acc = [0] * n_copies
+    # Per ALU, the first read port wired to a turned-off copy (2 when
+    # none is): an op reading more operands than that would read it.
+    first_off = []
+    for ports in copies_for:
+        port = 0
+        while port < len(ports) and ports[port] not in off_set:
+            port += 1
+        first_off.append(port)
+    # Per ALU, ops issued with 0, 1 and 2 register operands: the
+    # flush turns them into per-copy reads through the port wiring.
+    operand_tally = [[0, 0, 0] for _ in range(n_int)]
     rf_write_events = 0
     fp_acc = proc.fp_reg_accesses
 
     int_iq = proc.int_iq
-    i_order = int_iq._order
     i_now = int_iq._now
     i_cap = int_iq.n_entries
     int_waiters = int_iq._waiters
     int_waiters_get = int_waiters.get
     int_waiters_pop = int_waiters.pop
     i_low = _low_before(int_iq)
-    ic_ticks = ic_occ = ic_bcasts = ic_ins = ic_grants = 0
+    ic_ticks = ic_occ = ic_bcasts = 0
     #: Compaction charges [ce0, ce1, cm0, cm1, mx0, mx1, lm0, lm1].
     ic_acc = [0] * 8
 
     fp_iq = proc.fp_iq
-    fq_order = fp_iq._order
     fq_now = fp_iq._now
     fq_cap = fp_iq.n_entries
     fp_waiters = fp_iq._waiters
     fp_waiters_get = fp_waiters.get
     fp_waiters_pop = fp_waiters.pop
     fq_low = _low_before(fp_iq)
-    fc_ticks = fc_occ = fc_bcasts = fc_ins = fc_grants = 0
+    fc_ticks = fc_occ = fc_bcasts = 0
     fc_acc = [0] * 8
 
     int_sel = proc.int_select
     int_rr = int_sel.round_robin
     int_rr_off = int_sel._rr_offset
     igpt = int_sel.counters.grants_per_tree
+    igpt_start = list(igpt)
     isc_cycles = int_sel.counters.cycles
     isc_req = int_sel.counters.requests_seen
     fp_sel = proc.fp_add_select
     fp_rr = fp_sel.round_robin
     fp_rr_off = fp_sel._rr_offset
     fgpt = fp_sel.counters.grants_per_tree
+    fgpt_start = list(fgpt)
     fsc_cycles = fp_sel.counters.cycles
     fsc_req = fp_sel.counters.requests_seen
     mul_sel = proc.fp_mul_select
     mgpt = mul_sel.counters.grants_per_tree
+    mgpt_start = mgpt[0]
     msc_cycles = mul_sel.counters.cycles
     msc_req = mul_sel.counters.requests_seen
 
@@ -329,24 +348,45 @@ def _run_chunk(proc: "Processor", n_cycles: int) -> Tuple[int, bool]:
     OC_FP_ADD = OpClass.FP_ADD
     OC_FP_MUL = OpClass.FP_MUL
 
-    # Ready-entry scoreboard: counts entries whose waiting set is empty
-    # and which have not issued.  Lets the issue stage skip the O(top)
-    # ready scans on cycles where the queues hold only waiting or
-    # replay-pending entries (the common case in stall-heavy regions).
-    # Maintained at the three sites that change readiness — dispatch
-    # insert, writeback broadcast, and grant — and recomputed here each
-    # chunk so restores between chunks need no extra bookkeeping.
-    i_ready_n = 0
-    for phys in i_order[:int_iq._top]:
-        e = int_iq.slots[phys]
-        if e is not None and e.issued_at is None and not e.waiting_tags:
-            i_ready_n += 1
-    f_ready_n = 0
-    for phys in fq_order[:fp_iq._top]:
-        e = fp_iq.slots[phys]
-        if e is not None and e.issued_at is None and not e.waiting_tags:
-            f_ready_n += 1
+    # Ready lists in select order.  ``*_rank`` maps each un-issued
+    # entry to its rank and drops it at grant; the ready lists hold
+    # the un-issued entries with empty waiting sets, sorted by rank.
+    # Dispatch ranks start at the queue size, past every logical
+    # position, so ``*_seq - *_cap`` counts the chunk's inserts.
+    i_rank: Dict[IQEntry, int] = {}
+    i_ready: List[IQEntry] = []
+    order = int_iq._order
+    slots = int_iq.slots
+    for pos in range(int_iq._top):
+        e = slots[order[pos]]
+        if e is not None and e.issued_at is None:
+            i_rank[e] = pos
+            if not e.waiting_tags:
+                i_ready.append(e)
+    i_rank_of = i_rank.__getitem__
+    i_unrank = i_rank.__delitem__
+    i_seq = i_cap
+    f_rank: Dict[IQEntry, int] = {}
+    fa_ready: List[IQEntry] = []
+    fm_ready: List[IQEntry] = []
+    order = fp_iq._order
+    slots = fp_iq.slots
+    for pos in range(fp_iq._top):
+        e = slots[order[pos]]
+        if e is not None and e.issued_at is None:
+            f_rank[e] = pos
+            if not e.waiting_tags:
+                if e.op.opclass is OC_FP_ADD:
+                    fa_ready.append(e)
+                else:
+                    fm_ready.append(e)
+    f_rank_of = f_rank.__getitem__
+    f_unrank = f_rank.__delitem__
+    f_seq = fq_cap
 
+    # ---- loop top: global stall, quiescent fast-forward --------------
+    # (Above the ``while``: a sample taken at the loop's back-edge
+    # reports the ``while`` line.)
     try:
         while now < end:
             nxt = now + 1
@@ -369,7 +409,8 @@ def _run_chunk(proc: "Processor", n_cycles: int) -> Tuple[int, bool]:
                 st_cycles += n_stall
                 st_stall += n_stall
                 continue
-            if (nxt < min_nf and not i_ready_n and not f_ready_n
+            if (nxt < min_nf and not i_ready and not fa_ready
+                    and not fm_ready
                     and throttled_until <= nxt and not f_exhausted
                     and not int_iq._pending_removal
                     and not fp_iq._pending_removal
@@ -454,7 +495,6 @@ def _run_chunk(proc: "Processor", n_cycles: int) -> Tuple[int, bool]:
                     tag = entry.freed_tag
                     if tag is not None:
                         free_list.append(tag)
-                        free_set.add(tag)
                         ready_discard(tag)
                     rob_entries[pos] = None
                     pos += 1
@@ -502,7 +542,8 @@ def _run_chunk(proc: "Processor", n_cycles: int) -> Tuple[int, bool]:
                                     wt = waiter.waiting_tags
                                     wt.discard(tag)
                                     if not wt:
-                                        i_ready_n += 1
+                                        insort(i_ready, waiter,
+                                               key=i_rank_of)
                             fc_bcasts += 1
                             bucket = fp_waiters_pop(tag, None)
                             if bucket is not None:
@@ -510,7 +551,12 @@ def _run_chunk(proc: "Processor", n_cycles: int) -> Tuple[int, bool]:
                                     wt = waiter.waiting_tags
                                     wt.discard(tag)
                                     if not wt:
-                                        f_ready_n += 1
+                                        if waiter.op.opclass is OC_FP_ADD:
+                                            insort(fa_ready, waiter,
+                                                   key=f_rank_of)
+                                        else:
+                                            insort(fm_ready, waiter,
+                                                   key=f_rank_of)
                             if oc is OC_FP_ADD or oc is OC_FP_MUL:
                                 fp_acc += 1
                             else:
@@ -534,29 +580,17 @@ def _run_chunk(proc: "Processor", n_cycles: int) -> Tuple[int, bool]:
                 budget = issue_width
                 if int_iq._top != int_iq._holes:
                     isc_cycles += 1
-                    if i_ready_n:
-                        slots = int_iq.slots
-                        ready: List[int] = [
-                            phys for phys in i_order[:int_iq._top]
-                            if (e := slots[phys]) is not None
-                            and e.issued_at is None and not e.waiting_tags]
-                        n_ready = len(ready)
+                    n_ready = len(i_ready)
+                    if n_ready:
                         isc_req += n_ready
                         cap = budget if budget < n_ready else n_ready
-                    else:
-                        # Scoreboard says nothing can issue: the scan
-                        # would be empty, so only the selection-logic
-                        # cycle counter advances.
-                        cap = 0
-                    taken = 0
-                    if cap:
-                        i_pending = int_iq._pending_removal
+                        taken = 0
+                        pairs = []
                         if int_rr:
                             # Two-phase: the rotated serialization
                             # assigns the grants, but the reference
                             # processes them in ascending ALU order
                             # (cache-touch order must match).
-                            pairs = []
                             for k in range(n_int):
                                 if taken >= cap:
                                     break
@@ -564,26 +598,26 @@ def _run_chunk(proc: "Processor", n_cycles: int) -> Tuple[int, bool]:
                                 if (int_busy_static[t]
                                         or now < int_blocked[t]):
                                     continue
-                                pairs.append((t, ready[taken]))
+                                pairs.append((t, i_ready[taken]))
                                 igpt[t] += 1
                                 taken += 1
                             pairs.sort()
                         else:
-                            pairs = []
                             for t in range(n_int):
                                 if taken >= cap:
                                     break
                                 if (int_busy_static[t]
                                         or now < int_blocked[t]):
                                     continue
-                                pairs.append((t, ready[taken]))
+                                pairs.append((t, i_ready[taken]))
                                 igpt[t] += 1
                                 taken += 1
-                        for t, phys in pairs:
-                            e = slots[phys]
+                        del i_ready[:taken]
+                        i_pending = int_iq._pending_removal
+                        for t, e in pairs:
+                            i_unrank(e)
                             e.issued_at = i_now
                             i_pending.append(e)
-                            ic_grants += 1
                             op = e.op
                             oc = op.opclass
                             extra = 0
@@ -591,27 +625,27 @@ def _run_chunk(proc: "Processor", n_cycles: int) -> Tuple[int, bool]:
                                 extra = mem_load_latency(op.mem_addr)
                             n_operands = ((op.src1 is not None)
                                           + (op.src2 is not None))
-                            ports = copies_for[t]
-                            for port in range(n_operands):
-                                copy = ports[port]
-                                if copy in off_set:
-                                    raise RuntimeError(
-                                        f"read from turned-off register-"
-                                        f"file copy {copy}; ALU {t} "
-                                        f"should have been marked busy")
-                                rf_read_acc[copy] += 1
+                            if n_operands > first_off[t]:
+                                raise RuntimeError(
+                                    f"read from turned-off register-file "
+                                    f"copy {copies_for[t][first_off[t]]}; "
+                                    f"ALU {t} should have been marked "
+                                    f"busy")
+                            operand_tally[t][n_operands] += 1
                             if fast_units:
                                 base = latency_of[oc]
                                 if oc is OC_INT_MUL:
                                     int_blocked[t] = now + base
                                 fin = now + base + extra
-                                pipelines[t].append(
-                                    mk_inflight(op, e.rob_index, fin))
+                                w = new(_InFlight)
+                                w.op = op
+                                w.rob_index = e.rob_index
+                                w.finish_cycle = fin
+                                pipelines[t].append(w)
                                 if fin < nf[t]:
                                     nf[t] = fin
                                 if fin < min_nf:
                                     min_nf = fin
-                                int_ops_acc[t] += 1
                             else:
                                 int_starts[t](op, e.rob_index, now, extra)
                                 u = int_alus[t]
@@ -621,45 +655,18 @@ def _run_chunk(proc: "Processor", n_cycles: int) -> Tuple[int, bool]:
                                 if nf[t] < min_nf:
                                     min_nf = nf[t]
                             rob_entries[e.rob_index].issued = True
-                            st_issued += 1
                         budget -= taken
-                        i_ready_n -= taken
                     if int_rr:
                         int_rr_off = (int_rr_off + 1) % n_int
                 if budget > 0 and fp_iq._top != fp_iq._holes:
                     fsc_cycles += 1
-                    if f_ready_n:
-                        slots = fp_iq.slots
-                        # One scan feeds both the FP-add pass and the
-                        # FP-mul pass below: add grants never touch mul
-                        # entries, so the mul-ready set is identical to
-                        # what the reference's post-grant re-scan would
-                        # produce.
-                        ready = []
-                        ready_mul = []
-                        for phys in fq_order[:fp_iq._top]:
-                            e = slots[phys]
-                            if (e is None or e.issued_at is not None
-                                    or e.waiting_tags):
-                                continue
-                            if e.op.opclass is OC_FP_ADD:
-                                ready.append(phys)
-                            else:
-                                ready_mul.append(phys)
-                        n_ready = len(ready)
+                    n_ready = len(fa_ready)
+                    taken = 0
+                    if n_ready:
                         fsc_req += n_ready
                         cap = budget if budget < n_ready else n_ready
-                    else:
-                        # Scoreboard: queue holds only waiting or
-                        # replay-pending entries, so both passes see
-                        # zero requests.
-                        ready_mul = ()
-                        cap = 0
-                    taken = 0
-                    f_pending = fp_iq._pending_removal
-                    if cap:
+                        pairs = []
                         if fp_rr:
-                            pairs = []
                             for k in range(n_fp):
                                 if taken >= cap:
                                     break
@@ -667,39 +674,41 @@ def _run_chunk(proc: "Processor", n_cycles: int) -> Tuple[int, bool]:
                                 if (fp_busy_static[t]
                                         or now < fp_blocked[t]):
                                     continue
-                                pairs.append((t, ready[taken]))
+                                pairs.append((t, fa_ready[taken]))
                                 fgpt[t] += 1
                                 taken += 1
                             pairs.sort()
                         else:
-                            pairs = []
                             for t in range(n_fp):
                                 if taken >= cap:
                                     break
                                 if (fp_busy_static[t]
                                         or now < fp_blocked[t]):
                                     continue
-                                pairs.append((t, ready[taken]))
+                                pairs.append((t, fa_ready[taken]))
                                 fgpt[t] += 1
                                 taken += 1
-                        for t, phys in pairs:
-                            e = slots[phys]
+                        del fa_ready[:taken]
+                        f_pending = fp_iq._pending_removal
+                        for t, e in pairs:
+                            f_unrank(e)
                             e.issued_at = fq_now
                             f_pending.append(e)
-                            fc_grants += 1
                             op = e.op
                             fp_acc += ((op.src1 is not None)
                                        + (op.src2 is not None))
                             if fast_units:
                                 j = n_int + t
                                 fin = now + latency_of[OC_FP_ADD]
-                                pipelines[j].append(
-                                    mk_inflight(op, e.rob_index, fin))
+                                w = new(_InFlight)
+                                w.op = op
+                                w.rob_index = e.rob_index
+                                w.finish_cycle = fin
+                                pipelines[j].append(w)
                                 if fin < nf[j]:
                                     nf[j] = fin
                                 if fin < min_nf:
                                     min_nf = fin
-                                fp_ops_acc[t] += 1
                             else:
                                 fp_starts[t](op, e.rob_index, now)
                                 fin = fp_adders[t]._next_finish
@@ -707,37 +716,35 @@ def _run_chunk(proc: "Processor", n_cycles: int) -> Tuple[int, bool]:
                                 if fin < min_nf:
                                     min_nf = fin
                             rob_entries[e.rob_index].issued = True
-                            st_issued += 1
-                    f_ready_n -= taken
                     if fp_rr:
                         fp_rr_off = (fp_rr_off + 1) % n_fp
                     if taken < budget:
-                        # FP multiplier pass (uses the fused scan: the
-                        # adds granted above were never in
-                        # ``ready_mul``).
+                        # FP multiplier pass: add grants never touch
+                        # mul entries, so its request set is the
+                        # mul-ready list as it stands.
                         msc_cycles += 1
-                        msc_req += len(ready_mul)
-                        if ready_mul and not (fpm_busy
-                                              or now < fpm_blocked):
-                            phys = ready_mul[0]
+                        msc_req += len(fm_ready)
+                        if fm_ready and not (fpm_busy
+                                             or now < fpm_blocked):
+                            e = fm_ready.pop(0)
+                            f_unrank(e)
                             mgpt[0] += 1
-                            f_ready_n -= 1
-                            e = slots[phys]
                             e.issued_at = fq_now
-                            f_pending.append(e)
-                            fc_grants += 1
+                            fp_iq._pending_removal.append(e)
                             op = e.op
                             fp_acc += ((op.src1 is not None)
                                        + (op.src2 is not None))
                             if fast_units:
                                 fin = now + latency_of[OC_FP_MUL]
-                                pipelines[mul_j].append(
-                                    mk_inflight(op, e.rob_index, fin))
+                                w = new(_InFlight)
+                                w.op = op
+                                w.rob_index = e.rob_index
+                                w.finish_cycle = fin
+                                pipelines[mul_j].append(w)
                                 if fin < nf[mul_j]:
                                     nf[mul_j] = fin
                                 if fin < min_nf:
                                     min_nf = fin
-                                mul_ops_acc += 1
                             else:
                                 fp_mul_start(op, e.rob_index, now)
                                 fin = fp_mul._next_finish
@@ -745,7 +752,6 @@ def _run_chunk(proc: "Processor", n_cycles: int) -> Tuple[int, bool]:
                                 if fin < min_nf:
                                     min_nf = fin
                             rob_entries[e.rob_index].issued = True
-                            st_issued += 1
 
                 # ---- queue tick (compaction) -------------------------
                 i_now += 1
@@ -804,15 +810,19 @@ def _run_chunk(proc: "Processor", n_cycles: int) -> Tuple[int, bool]:
                         dst = op.dst
                         if dst is not None:
                             dst_tag = free_pop()
-                            free_set.remove(dst_tag)
                             freed = amap[offset + dst]
                             amap[offset + dst] = dst_tag
                             ready_discard(dst_tag)
                         else:
                             dst_tag = None
                             freed = None
-                        rob_entries[rob_tail] = ROBEntry(
-                            op, dst_tag, freed)
+                        r = new(ROBEntry)
+                        r.op = op
+                        r.dst_tag = dst_tag
+                        r.freed_tag = freed
+                        r.done = False
+                        r.issued = False
+                        rob_entries[rob_tail] = r
                         rob_index = rob_tail
                         rob_tail += 1
                         if rob_tail == rob_capacity:
@@ -820,13 +830,18 @@ def _run_chunk(proc: "Processor", n_cycles: int) -> Tuple[int, bool]:
                         rob_count += 1
                         if needs_lsq:
                             lsq_count += 1
-                        iq_entry = IQEntry(op, rob_index, waiting)
+                        iq_entry = new(IQEntry)
+                        iq_entry.op = op
+                        iq_entry.rob_index = rob_index
+                        iq_entry.waiting_tags = waiting
+                        iq_entry.issued_at = None
                         queue.slots[queue._order[queue._top]] = iq_entry
                         queue._top += 1
                         if queue is int_iq:
-                            ic_ins += 1
-                            if not waiting:
-                                i_ready_n += 1
+                            i_rank[iq_entry] = i_seq
+                            i_seq += 1
+                            if not wlist:
+                                i_ready.append(iq_entry)
                             for tag in wlist:
                                 bucket = int_waiters_get(tag)
                                 if bucket is None:
@@ -834,15 +849,19 @@ def _run_chunk(proc: "Processor", n_cycles: int) -> Tuple[int, bool]:
                                 else:
                                     bucket.append(iq_entry)
                         else:
-                            fc_ins += 1
-                            if not waiting:
-                                f_ready_n += 1
-                            for tag in wlist:
-                                bucket = fp_waiters_get(tag)
-                                if bucket is None:
-                                    fp_waiters[tag] = [iq_entry]
-                                else:
-                                    bucket.append(iq_entry)
+                            f_rank[iq_entry] = f_seq
+                            f_seq += 1
+                            if wlist:
+                                for tag in wlist:
+                                    bucket = fp_waiters_get(tag)
+                                    if bucket is None:
+                                        fp_waiters[tag] = [iq_entry]
+                                    else:
+                                        bucket.append(iq_entry)
+                            elif oc is OC_FP_ADD:
+                                fa_ready.append(iq_entry)
+                            else:
+                                fm_ready.append(iq_entry)
 
                 # ---- fetch -------------------------------------------
                 f_count = 0
@@ -892,12 +911,22 @@ def _run_chunk(proc: "Processor", n_cycles: int) -> Tuple[int, bool]:
                 break
     finally:
         # ---- flush: write every hoisted scalar back ------------------
+        # Each grant bumps one select tree's count and issues one op to
+        # that tree's unit, so the trees' deltas are the grant counts.
+        int_ops = [igpt[t] - igpt_start[t] for t in range(n_int)]
+        fp_ops = [fgpt[t] - fgpt_start[t] for t in range(n_fp)]
+        mul_ops = mgpt[0] - mgpt_start
+        i_grants = sum(int_ops)
+        f_grants = sum(fp_ops) + mul_ops
         proc.now = now
         st.cycles = st_cycles
         st.committed = st_committed
         st.stall_cycles = st_stall
         st.throttled_cycles = st_throttled
-        st.issued = st_issued
+        st.issued += i_grants + f_grants
+        # The free set is the list's O(1) double-release guard for the
+        # reference loop; the kernel never consults it.
+        rename._free_set = set(free_list)
         rob._head = rob_head
         rob._tail = rob_tail
         rob._count = rob_count
@@ -917,9 +946,9 @@ def _run_chunk(proc: "Processor", n_cycles: int) -> Tuple[int, bool]:
         c[IQC_CYCLES] += ic_ticks
         c[IQC_OCCUPANCY_SUM] += ic_occ
         c[IQC_BROADCASTS] += ic_bcasts
-        c[IQC_INSERTS] += ic_ins
-        c[IQC_SELECT_GRANTS] += ic_grants
-        c[IQC_PAYLOAD_OPS] += ic_grants
+        c[IQC_INSERTS] += i_seq - i_cap
+        c[IQC_SELECT_GRANTS] += i_grants
+        c[IQC_PAYLOAD_OPS] += i_grants
         c[IQC_COUNTER_EVALS_0] += ic_acc[0]
         c[IQC_COUNTER_EVALS_1] += ic_acc[1]
         c[IQC_COMPACTION_MOVES_0] += ic_acc[2]
@@ -932,9 +961,9 @@ def _run_chunk(proc: "Processor", n_cycles: int) -> Tuple[int, bool]:
         c[IQC_CYCLES] += fc_ticks
         c[IQC_OCCUPANCY_SUM] += fc_occ
         c[IQC_BROADCASTS] += fc_bcasts
-        c[IQC_INSERTS] += fc_ins
-        c[IQC_SELECT_GRANTS] += fc_grants
-        c[IQC_PAYLOAD_OPS] += fc_grants
+        c[IQC_INSERTS] += f_seq - fq_cap
+        c[IQC_SELECT_GRANTS] += f_grants
+        c[IQC_PAYLOAD_OPS] += f_grants
         c[IQC_COUNTER_EVALS_0] += fc_acc[0]
         c[IQC_COUNTER_EVALS_1] += fc_acc[1]
         c[IQC_COMPACTION_MOVES_0] += fc_acc[2]
@@ -951,6 +980,14 @@ def _run_chunk(proc: "Processor", n_cycles: int) -> Tuple[int, bool]:
         fp_sel._rr_offset = fp_rr_off
         mul_sel.counters.cycles = msc_cycles
         mul_sel.counters.requests_seen = msc_req
+        # An op reads its operands through the ALU's ports in order
+        # (``PortMapping`` wires exactly two).
+        rf_read_acc = [0] * regfile.n_copies
+        for t in range(n_int):
+            _, one, two = operand_tally[t]
+            first, second = copies_for[t]
+            rf_read_acc[first] += one + two
+            rf_read_acc[second] += two
         if any(rf_read_acc):
             regfile._reads += rf_read_acc
         if rf_write_events:
@@ -961,12 +998,14 @@ def _run_chunk(proc: "Processor", n_cycles: int) -> Tuple[int, bool]:
             unit._next_finish = nf[j]
         for t in range(n_int):
             int_alus[t]._blocked_until = int_blocked[t]
-        if any(int_ops_acc):
-            proc._int_bank.ops += int_ops_acc
-        if any(fp_ops_acc):
-            proc._fp_add_bank.ops += fp_ops_acc
-        if mul_ops_acc:
-            proc._fp_mul_bank.ops[0] += mul_ops_acc
+        if fast_units:
+            # Otherwise each unit's own ``start`` counted its ops.
+            if i_grants:
+                proc._int_bank.ops += int_ops
+            if any(fp_ops):
+                proc._fp_add_bank.ops += fp_ops
+            if mul_ops:
+                proc._fp_mul_bank.ops[0] += mul_ops
         if busy_n and active_cycles:
             for unit in units:
                 if unit.busy:
@@ -1015,6 +1054,7 @@ def _compact_queue(queue: "CompactingIssueQueue", now: int,
     Holes, or a cohort wider than ``compact_width``, fall back to the
     queue's own :meth:`CompactingIssueQueue._compact`.
     """
+    # ---- queue tick: the kernel's compaction (stage marker) ----------
     pending = queue._pending_removal
     expiring = 0
     if not queue._holes:

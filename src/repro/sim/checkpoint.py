@@ -154,6 +154,47 @@ class CacheInfo:
     size_bytes: int
 
 
+def clear_store(root: Path) -> int:
+    """Empty a ``<root>/<key[:2]>/<key>.pkl`` store (results or
+    checkpoints); returns the number of entries removed.
+
+    Also removes the ``<key>.pkl.tmp<pid>`` file a writer killed
+    between its temp write and :func:`os.replace` leaves behind, which
+    would otherwise keep its bucket directory alive.
+    """
+    removed = 0
+    if not root.is_dir():
+        return removed
+    for pattern in ("??/*.pkl", "??/*.tmp*"):
+        for path in root.glob(pattern):
+            try:
+                path.unlink()
+            except OSError:
+                continue
+            if pattern == "??/*.pkl":
+                removed += 1
+    for bucket in root.glob("??"):
+        try:
+            bucket.rmdir()
+        except OSError:
+            pass
+    return removed
+
+
+def store_info(root: Path) -> CacheInfo:
+    """Entry count and size of a store emptied by :func:`clear_store`."""
+    entries = 0
+    size = 0
+    if root.is_dir():
+        for path in root.glob("??/*.pkl"):
+            try:
+                size += path.stat().st_size
+                entries += 1
+            except OSError:
+                pass
+    return CacheInfo(root=str(root), entries=entries, size_bytes=size)
+
+
 def default_checkpoint_root() -> Path:
     """``<result-cache-root>/checkpoints`` so ``repro cache`` commands
     manage results and checkpoints under one directory."""
@@ -201,31 +242,7 @@ class CheckpointStore:
 
     def clear(self) -> int:
         """Delete every checkpoint; returns the number removed."""
-        removed = 0
-        if not self.root.is_dir():
-            return removed
-        for path in self.root.glob("??/*.pkl"):
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                pass
-        for bucket in self.root.glob("??"):
-            try:
-                bucket.rmdir()
-            except OSError:
-                pass
-        return removed
+        return clear_store(self.root)
 
     def info(self) -> CacheInfo:
-        entries = 0
-        size = 0
-        if self.root.is_dir():
-            for path in self.root.glob("??/*.pkl"):
-                try:
-                    size += path.stat().st_size
-                    entries += 1
-                except OSError:
-                    pass
-        return CacheInfo(root=str(self.root), entries=entries,
-                         size_bytes=size)
+        return store_info(self.root)

@@ -59,7 +59,7 @@ from ..pipeline import accel
 from ..pipeline.kernel import BatchStats, batch_enabled
 from .checkpoint import (CacheInfo, CheckpointError, CheckpointStore,
                          _stable, checkpoint_key, checkpoints_enabled,
-                         code_fingerprint)
+                         clear_store, code_fingerprint, store_info)
 from .results import SimulationResult
 from .runner import SimulationConfig, Simulator
 
@@ -154,34 +154,10 @@ class ResultCache:
 
     def clear(self) -> int:
         """Delete every entry; returns the number removed."""
-        removed = 0
-        if not self.root.is_dir():
-            return removed
-        for path in self.root.glob("??/*.pkl"):
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                pass
-        for bucket in self.root.glob("??"):
-            try:
-                bucket.rmdir()
-            except OSError:
-                pass
-        return removed
+        return clear_store(self.root)
 
     def info(self) -> CacheInfo:
-        entries = 0
-        size = 0
-        if self.root.is_dir():
-            for path in self.root.glob("??/*.pkl"):
-                try:
-                    size += path.stat().st_size
-                    entries += 1
-                except OSError:
-                    pass
-        return CacheInfo(root=str(self.root), entries=entries,
-                         size_bytes=size)
+        return store_info(self.root)
 
 
 # ---------------------------------------------------------------------------

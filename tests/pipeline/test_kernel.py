@@ -10,6 +10,7 @@ reference loop; the default runs the kernel.
 
 import dataclasses
 import gc
+import random
 import time
 
 import pytest
@@ -18,8 +19,11 @@ from repro.core.mapping import MappingKind
 from repro.core.policies import (ALL_TECHNIQUES, BASELINE, ALUPolicy,
                                  IssueQueuePolicy, RegFilePolicy,
                                  TechniqueConfig)
+from repro.pipeline.alu import _InFlight
 from repro.pipeline.isa import DEFAULT_LATENCY, OpClass
+from repro.pipeline.issue_queue import IQEntry
 from repro.pipeline.kernel import _merge_digest, kernel_enabled
+from repro.pipeline.rob import ROBEntry
 from repro.sim.runner import SimulationConfig, Simulator
 from repro.thermal.floorplan import FloorplanVariant
 from repro.workloads.generator import SyntheticWorkload, WorkloadProfile
@@ -198,6 +202,128 @@ class TestInternalState:
             monkeypatch, config, lambda: ReplayTrace(MaterializedTrace(
                 SyntheticWorkload(profile, seed=1))))
         assert reference == kernel
+
+
+def warm_processor(config, until):
+    """The processor of ``config`` after warm-up, stepped one cycle at
+    a time until ``until(proc)`` holds."""
+    sim = Simulator(config)
+    sim.prepare()
+    proc = sim.processor
+    for _ in range(5_000):
+        if until(proc):
+            return proc
+        proc.run(1)
+    raise AssertionError("the wanted pipeline state never occurred")
+
+
+def straddles(queue):
+    """Un-issued entries sit on both physical halves of ``queue``."""
+    return {phys < queue.mid for phys, e in enumerate(queue.slots)
+            if e is not None and e.issued_at is None} == {True, False}
+
+
+def final_state(proc):
+    """Everything a run must agree on, however it was sliced."""
+    arrays = [proc.int_iq._c, proc.fp_iq._c, proc.regfile._reads,
+              proc.regfile._writes]
+    for bank in (proc._int_bank, proc._fp_add_bank, proc._fp_mul_bank):
+        arrays += [bank.ops, bank.busy_cycles, bank.turnoff_events]
+    select = [(s.counters.cycles, list(s.counters.grants_per_tree),
+               s.counters.requests_seen, s._rr_offset)
+              for s in (proc.int_select, proc.fp_add_select,
+                        proc.fp_mul_select)]
+    return (_merge_digest(proc), [a.tolist() for a in arrays], select,
+            dataclasses.asdict(proc.stats))
+
+
+class TestChunkSlicing:
+    """A chunk (one ``_run_chunk`` call) re-derives its ready lists,
+    ranks and counters from the processor at its hoist, so where a run
+    is cut into chunks must change nothing.  Both queues are toggled
+    with un-issued entries on both physical halves, so the first hoist
+    ranks a rotated logical order (ranking by physical slot instead
+    is wrong only here)."""
+
+    CYCLES = 4_000
+
+    @pytest.mark.parametrize("alus", [ALUPolicy.ROUND_ROBIN,
+                                      ALUPolicy.BASE],
+                             ids=["round-robin", "fixed-priority"])
+    def test_slicing_changes_nothing(self, monkeypatch, alus):
+        config = small_config(benchmark="wupwise",
+                              techniques=TechniqueConfig(alus=alus),
+                              variant=FloorplanVariant.ALU,
+                              warmup_cycles=2_000)
+        rng = random.Random(1)
+        slices = []
+        while sum(slices) < self.CYCLES:
+            slices.append(min(rng.randint(1, 400),
+                              self.CYCLES - sum(slices)))
+        states = {}
+        for label, kernel, cuts in (("whole", "1", [self.CYCLES]),
+                                    ("sliced", "1", slices),
+                                    ("reference", "0", [self.CYCLES])):
+            monkeypatch.setenv("REPRO_KERNEL", "1")
+            proc = warm_processor(config, lambda p: (
+                straddles(p.int_iq) and straddles(p.fp_iq)))
+            proc.toggle_issue_queues()
+            monkeypatch.setenv("REPRO_KERNEL", kernel)
+            for cycles in cuts:
+                proc.run(cycles)
+            assert proc.rename._free_set == set(proc.rename._free)
+            states[label] = final_state(proc)
+        assert len(slices) > 10
+        assert states["whole"] == states["reference"]
+        assert states["sliced"] == states["reference"]
+
+
+class TestKernelRecords:
+    def test_records_set_every_field(self, monkeypatch):
+        """The kernel builds ROB, issue-queue and in-flight records
+        with ``object.__new__`` and one slot store per field; a field
+        added to one of these classes must be stored there too."""
+        monkeypatch.setenv("REPRO_KERNEL", "1")
+
+        def reachable(proc):
+            found = {ROBEntry: [e for e in proc.rob._entries
+                                if e is not None],
+                     IQEntry: [], _InFlight: []}
+            for queue in (proc.int_iq, proc.fp_iq):
+                found[IQEntry] += [e for e in queue.slots
+                                   if e is not None]
+                found[IQEntry] += queue._pending_removal
+            for unit in proc._all_units:
+                found[_InFlight] += unit._pipeline
+            return found
+
+        proc = warm_processor(
+            small_config(benchmark="wupwise"),
+            lambda p: all(reachable(p).values()))
+        for cls, records in reachable(proc).items():
+            for record in records:
+                assert type(record) is cls
+                for field in dataclasses.fields(cls):
+                    assert hasattr(record, field.name), (
+                        f"{cls.__name__}.{field.name} not set")
+
+    def test_read_from_turned_off_copy_raises_like_reference(
+            self, monkeypatch):
+        """A copy marked off behind the regfile's back leaves its ALUs
+        unblocked: the kernel's one-comparison-per-op check raises the
+        reference loop's error for the same op."""
+        messages = []
+        for flag in ("0", "1"):
+            monkeypatch.setenv("REPRO_KERNEL", flag)
+            sim = Simulator(small_config())
+            sim.prepare()
+            sim.processor.regfile._off.add(0)
+            with pytest.raises(RuntimeError,
+                               match="turned-off register-file copy"
+                               ) as raised:
+                sim.processor.run(2_000)
+            messages.append(str(raised.value))
+        assert messages[0] == messages[1]
 
 
 class TestSamplingAlignment:

@@ -235,6 +235,22 @@ class TestCheckpointStore:
         assert store.clear() == 2
         assert store.info().entries == 0
 
+    @pytest.mark.parametrize("store_cls", [CheckpointStore, ResultCache],
+                             ids=["checkpoints", "results"])
+    def test_clear_removes_interrupted_write(self, tmp_path, store_cls):
+        """A writer killed between its temp write and ``os.replace``
+        leaves ``<key>.pkl.tmp<pid>``; clear() removes it and its
+        bucket directory."""
+        store = store_cls(tmp_path)
+        key = "ef" * 32
+        bucket = tmp_path / key[:2]
+        bucket.mkdir()
+        leftover = bucket / f"{key}.pkl.tmp99999"
+        leftover.write_bytes(b"torn")
+        assert store.clear() == 0
+        assert not leftover.exists()
+        assert not bucket.exists()
+
     def test_corrupt_blob_raises_checkpoint_error(self):
         config = small_config()
         for blob in (b"garbage", pickle.dumps({"version": 999}),

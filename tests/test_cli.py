@@ -4,12 +4,14 @@ import hashlib
 import json
 import os
 import platform
+import signal
 import subprocess
 
 import pytest
 
 from repro import cli
 from repro.cli import build_parser, main
+from repro.obs import stages
 from repro.obs.events import event_from_dict
 
 
@@ -221,12 +223,30 @@ class TestRunTracing:
 
 class TestProfile:
     def test_profile_smoke(self, capsys):
+        previous = signal.getsignal(signal.SIGPROF)
         code = main(["profile", "gzip", "--cycles", "2000",
                      "--warmup", "1000", "--top", "5"])
         assert code == 0
         out = capsys.readouterr().out
         assert "IPC" in out
         assert "stage wall-clock breakdown" in out
+        # The sampled kernel split: one line per stage marker in the
+        # kernel source plus the unattributed and outside shares,
+        # summing to about 100%; the sampler leaves no handler or
+        # timer behind.
+        split = out.split("kernel stage split", 1)[1].splitlines()[1:]
+        labels = [*stages.stage_labels(), stages.NO_LINE, stages.OUTSIDE]
+        assert {"issue", "dispatch", "writeback", "commit", "fetch",
+                "queue tick"} <= set(labels)
+        assert len(split) == len(labels)
+        shares = []
+        for label, line in zip(labels, split):
+            name, share = line.rsplit(None, 1)
+            assert name.strip() == label
+            shares.append(float(share.rstrip("%")))
+        assert sum(shares) == pytest.approx(100, abs=0.5)
+        assert signal.getsignal(signal.SIGPROF) == previous
+        assert signal.getitimer(signal.ITIMER_PROF) == (0.0, 0.0)
 
 
 class TestCache:

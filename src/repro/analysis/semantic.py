@@ -206,7 +206,7 @@ class MacroStepContractRule(DeepRule):
     #: Functions allowed to write gating state regardless of
     #: reachability: construction, checkpoint restore, and the batched
     #: fork overlay (``Processor.apply_gating``, called only from
-    #: ``_adopt_leader_state`` at a ``_wave_loop`` sampling boundary
+    #: ``_adopt_leader_state`` at a ``run_batch`` sampling boundary
     #: to re-apply a run's own DTM decisions; DESIGN.md §11).
     BOUNDARY_FUNCS = frozenset({"__init__", "__post_init__",
                                 "restore_state", "reset",

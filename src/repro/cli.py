@@ -33,7 +33,6 @@ from .core.policies import (ALUPolicy, IssueQueuePolicy, RegFilePolicy,
 from .obs import report as obs_report
 from .obs import stages as obs_stages
 from .obs.collector import trace_enabled
-from .pipeline.accel import accel_compile_s, active_backend
 from .pipeline.kernel import (batch_enabled, batch_merge_enabled,
                               kernel_enabled)
 from .sim.checkpoint import CheckpointStore, checkpoints_enabled
@@ -53,19 +52,6 @@ def _parse_benchmarks(text: str) -> List[str]:
             raise SystemExit(f"unknown benchmark {name!r}; see "
                              f"'python -m repro list'")
     return names
-
-
-#: CLI spellings of the accelerator backend request (``--accel``),
-#: mirrored verbatim into ``REPRO_ACCEL`` — see
-#: :func:`repro.pipeline.accel.resolve_backend` for the semantics.
-ACCEL_CHOICES = ("auto", "numba", "numpy", "0")
-
-
-def _apply_accel(args: argparse.Namespace) -> None:
-    """Mirror ``--accel`` into ``REPRO_ACCEL`` for this process (worker
-    processes inherit the environment, so pool runs follow suit)."""
-    if getattr(args, "accel", None):
-        os.environ["REPRO_ACCEL"] = args.accel
 
 
 def _git(*args: str) -> Optional[bytes]:
@@ -91,7 +77,6 @@ def _repro_settings() -> Dict[str, Any]:
         "REPRO_BATCH": batch_enabled(),
         "REPRO_BATCH_MERGE": batch_merge_enabled(),
         "REPRO_KERNEL": kernel_enabled(),
-        "REPRO_ACCEL": active_backend(),
         "REPRO_SANITIZE": sanitize_enabled(),
         "REPRO_TRACE": trace_enabled(),
     }
@@ -128,11 +113,10 @@ def _timed_best_of(fn: Callable[[], Any], repeats: int = 3) -> float:
     """Best-of-``repeats`` wall-clock seconds for ``fn()``, preceded by
     one untimed warmup call.
 
-    The warmup call eats every first-invocation effect — accelerator
-    JIT compilation, trace materialization, interpreter cache warming —
-    so the timed windows measure steady-state execution only (asserted
-    in ``tests/pipeline/test_accel.py``).  Compile time is reported
-    separately via :func:`repro.pipeline.accel.accel_compile_s`.
+    The warmup call eats every first-invocation effect — trace
+    materialization, interpreter cache warming — so the timed windows
+    measure steady-state execution only (asserted in
+    ``tests/test_cli.py``).
     """
     fn()
     walls = []
@@ -159,7 +143,6 @@ def _cmd_list(_: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    _apply_accel(args)
     techniques = TechniqueConfig(
         issue_queue=IssueQueuePolicy(args.issue_queue),
         alus=ALUPolicy(args.alus),
@@ -177,7 +160,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     result = simulator.run()
     print(f"benchmark:      {result.benchmark}")
     print(f"techniques:     {config.label()}")
-    print(f"backend:        {active_backend()}")
     print(f"IPC:            {result.ipc:.3f}")
     print(f"committed:      {result.committed} in {result.cycles} cycles")
     print(f"cooling stalls: {result.global_stalls} "
@@ -334,14 +316,10 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
     Each report is also appended as one JSON line to a history file
     (default ``BENCH_history.jsonl``) with provenance (see
-    :func:`_provenance`, taken before the bench writes any file),
-    accelerator backend and config, so the performance trajectory
-    survives each overwrite of the snapshot.  Accelerator compile time
-    (numba's one-time JIT cost) is absorbed by untimed warmup calls and
-    broken out as ``accel_compile_s`` rather than polluting any timed
-    window.
+    :func:`_provenance`, taken before the bench writes any file) and
+    config, so the performance trajectory survives each overwrite of
+    the snapshot.
     """
-    _apply_accel(args)
     provenance = _provenance()
     benchmarks = (_parse_benchmarks(args.benchmarks)
                   if args.benchmarks else tuple(BENCHMARK_NAMES))
@@ -358,7 +336,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         "jobs": jobs,
         "cycles": args.cycles,
         "benchmarks": list(benchmarks),
-        "accel_backend": active_backend(),
         "grids": [],
     }
 
@@ -368,9 +345,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         techniques=TechniqueConfig(alus=ALUPolicy.FINE_GRAIN),
         max_cycles=single_cycles)
     single_wall = _timed_best_of(lambda: run_simulation(config))
-    # The warmup inside _timed_best_of triggered (and timed) any JIT
-    # compilation; surface it next to — never inside — the timings.
-    report["accel_compile_s"] = accel_compile_s()
     report["single_run"] = {
         "benchmark": benchmarks[0],
         "cycles": single_cycles,
@@ -458,10 +432,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                       f"not a parallel win.",
                       file=sys.stderr)
 
-    print(f"accel backend: {report['accel_backend']}"
-          + (f" (compile {report['accel_compile_s']:.2f}s, "
-             f"excluded from timed windows)"
-             if report["accel_compile_s"] else ""))
     with open(args.output, "w") as handle:
         json.dump(report, handle, indent=2)
         handle.write("\n")
@@ -471,8 +441,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             "written_at": time.strftime("%Y-%m-%dT%H:%M:%S",
                                         time.gmtime()) + "Z",
             **provenance,
-            "accel_backend": report["accel_backend"],
-            "accel_compile_s": report["accel_compile_s"],
             "config": {"figures": figures,
                        "benchmarks": list(benchmarks),
                        "cycles": args.cycles, "seed": args.seed,
@@ -525,11 +493,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--trace-out", default="", metavar="PATH",
                        help="write collected events as JSON Lines to "
                             "PATH (implies --trace)")
-    run_p.add_argument("--accel", default=None, choices=ACCEL_CHOICES,
-                       help="accelerator backend (mirrors REPRO_ACCEL: "
-                            "auto = numba when installed else the "
-                            "Python kernel; numpy = the lowered "
-                            "interpreter without JIT; 0 = off)")
     run_p.set_defaults(func=_cmd_run)
 
     fig_p = sub.add_parser("figure",
@@ -558,21 +521,14 @@ def build_parser() -> argparse.ArgumentParser:
                          help="worker processes (default: REPRO_JOBS "
                               "or all cores; floored at 2 so the bench "
                               "always exercises parallel dispatch)")
-    bench_p.add_argument("--compare-serial", action="store_true",
-                         help="deprecated no-op: the serial comparison "
-                              "now always runs")
     bench_p.add_argument("--output", default="BENCH_parallel.json",
                          help="report path (default: "
                               "BENCH_parallel.json)")
     bench_p.add_argument("--history", default="BENCH_history.jsonl",
                          help="JSONL history file each report is "
-                              "appended to with commit/backend/config "
+                              "appended to with commit/settings/config "
                               "provenance; '' disables (default: "
                               "BENCH_history.jsonl)")
-    bench_p.add_argument("--accel", default=None, choices=ACCEL_CHOICES,
-                         help="accelerator backend (mirrors "
-                              "REPRO_ACCEL; recorded in the report's "
-                              "accel_backend field)")
     bench_p.set_defaults(func=_cmd_bench)
 
     report_p = sub.add_parser(

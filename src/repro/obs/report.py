@@ -336,16 +336,13 @@ def generate(figures: Sequence[str] = ("6", "7", "8"),
         section(report, runner(**kwargs), ceiling_k)
     stats = engine.stats
     report.heading(2, "Run accounting")
-    compile_note = (f" after a one-time {stats.accel_compile_s:.2f}s "
-                    f"compile" if stats.accel_compile_s else "")
     report.paragraph(
         f"{stats.total} runs: {stats.cache_hits} answered from cache, "
         f"{stats.parallel_runs} simulated in pool workers, "
         f"{stats.inline_runs} in-process; "
         f"{stats.batched_runs} of the simulated runs batched "
         f"(in {stats.batch_groups} lock-stepped group(s)); "
-        f"{stats.checkpoint_restores} checkpoint restore(s); "
-        f"execution backend: {stats.accel_backend}{compile_note}. "
+        f"{stats.checkpoint_restores} checkpoint restore(s). "
         f"Regenerate with: repro report --figures "
         f"{','.join(figures)} --cycles {max_cycles} --seed {seed}.")
     if stats.batched_runs:

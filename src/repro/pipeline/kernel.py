@@ -40,7 +40,6 @@ import pickle
 from bisect import insort
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from .accel import AccelSession, maybe_session
 from .alu import _NEVER, _InFlight
 from .isa import DEFAULT_LATENCY, NUM_INT_ARCH_REGS, OpClass
 from .issue_queue import IQEntry, QueueMode
@@ -83,10 +82,6 @@ def run_kernel(proc: "Processor", max_cycles: int,
     chunk whose final cycle both drains the pipeline and lands on a
     boundary (the reference samples before its drain check).
     """
-    session = maybe_session(proc)
-    if session is not None:
-        return _run_kernel_accel(session, max_cycles, on_sample,
-                                 sample_interval)
     sampling = bool(sample_interval) and on_sample is not None
     remaining = max_cycles
     while remaining > 0:
@@ -102,44 +97,6 @@ def run_kernel(proc: "Processor", max_cycles: int,
             on_sample(proc)
         if finished:
             break
-    return proc.stats
-
-
-def _run_kernel_accel(session: AccelSession, max_cycles: int,
-                      on_sample, sample_interval: int
-                      ) -> "ProcessorStats":
-    """:func:`run_kernel`'s boundary-slicing loop over a lowered
-    session (``repro.pipeline.accel``).
-
-    Same chunking, sample-fire condition, and drain break; each
-    boundary is bracketed by ``sync_out`` (scalars the DTM and power
-    accountant read) and ``sync_in`` (gating state the DTM wrote), and
-    the full object state is materialized once at the end — or on any
-    error, so a model-invariant RuntimeError leaves the processor as
-    consistent as the kernel's finally-flush would.
-    """
-    proc = session.proc
-    sampling = bool(sample_interval) and on_sample is not None
-    remaining = max_cycles
-    try:
-        while remaining > 0:
-            if sampling:
-                to_boundary = sample_interval - session.now % sample_interval
-                chunk = (to_boundary if to_boundary < remaining
-                         else remaining)
-            else:
-                to_boundary = -1
-                chunk = remaining
-            ran, finished = session.run_chunk(chunk)
-            remaining -= ran
-            if sampling and ran == chunk and chunk == to_boundary:
-                session.sync_out()
-                on_sample(proc)
-                session.sync_in()
-            if finished:
-                break
-    finally:
-        session.materialize()
     return proc.stats
 
 
@@ -1255,8 +1212,7 @@ class _ExecClass:
     followers receive broadcast deltas)."""
 
     __slots__ = ("leader", "followers", "remaining", "prev_row",
-                 "session", "done", "at_boundary", "finished",
-                 "blob", "blob_stamp")
+                 "done", "at_boundary", "finished", "blob", "blob_stamp")
 
     def __init__(self, leader: BatchRun, followers: List[BatchRun],
                  remaining: int, store: "RunAxisStore") -> None:
@@ -1268,10 +1224,6 @@ class _ExecClass:
         # counter bumps — which followers make on their own rows —
         # never leak into the execution delta).
         self.prev_row = store.row(leader.index).copy() if followers else None
-        # A lowered accelerator session executing this class's chunks
-        # (created lazily at the first advance; ``None`` for the pure
-        # kernel backend).
-        self.session: Optional[AccelSession] = None
         self.done = False
         self.at_boundary = False
         self.finished = False
@@ -1397,8 +1349,6 @@ def _leader_blob(cls: _ExecClass, stats: BatchStats) -> bytes:
     if cls.blob is not None and cls.blob_stamp == stamp:
         stats.snapshot_reused += 1
         return cls.blob
-    if cls.session is not None:
-        cls.session.materialize()
     cls.blob = pickle.dumps(proc.snapshot_state())
     cls.blob_stamp = stamp
     stats.snapshot_full += 1
@@ -1448,25 +1398,6 @@ def run_batch(runs: List[BatchRun], store: "RunAxisStore",
     for run in runs:
         if run.reads_pipeline:
             classes.append(_ExecClass(run, [], max_cycles, store))
-    # A lowered session executes a class's chunks when legal; its
-    # counter writes land on the same live row views, so the broadcast
-    # delta below is backend-independent.  Forks/merges materialize
-    # the object state before any snapshot pickle.
-    for cls in classes:
-        cls.session = maybe_session(cls.leader.proc)
-    try:
-        _wave_loop(classes, store, sample_interval, on_boundary,
-                   stats, merging)
-    finally:
-        for cls in classes:
-            if cls.session is not None:
-                cls.session.materialize()
-                cls.session = None
-
-
-def _wave_loop(classes: List[_ExecClass], store: "RunAxisStore",
-               sample_interval: int, on_boundary,
-               stats: BatchStats, merging: bool) -> None:
     data = store.data
     while True:
         live = [cls for cls in classes if not cls.done]
@@ -1476,15 +1407,10 @@ def _wave_loop(classes: List[_ExecClass], store: "RunAxisStore",
         for cls in live:
             leader = cls.leader
             proc = leader.proc
-            session = cls.session
-            now = session.now if session is not None else proc.now
-            to_boundary = sample_interval - now % sample_interval
+            to_boundary = sample_interval - proc.now % sample_interval
             chunk = (to_boundary if to_boundary < cls.remaining
                      else cls.remaining)
-            if session is not None:
-                ran, finished = session.run_chunk(chunk)
-            else:
-                ran, finished = _run_chunk(proc, chunk)
+            ran, finished = _run_chunk(proc, chunk)
             cls.remaining -= ran
             if cls.followers:
                 # Broadcast this chunk's execution delta to every run
@@ -1502,8 +1428,6 @@ def _wave_loop(classes: List[_ExecClass], store: "RunAxisStore",
                 continue
             hit_boundary = True
             proc = cls.leader.proc
-            if cls.session is not None:
-                cls.session.sync_out()
             for follower in cls.followers:
                 _sync_scalars(follower.proc, proc)
             on_boundary([cls.leader, *cls.followers])
@@ -1517,9 +1441,8 @@ def _wave_loop(classes: List[_ExecClass], store: "RunAxisStore",
                     # Diverged: fork into a class of its own.
                     blob = _leader_blob(cls, stats)
                     _adopt_leader_state(follower, proc, blob, store)
-                    child = _ExecClass(follower, [], cls.remaining, store)
-                    child.session = maybe_session(follower.proc)
-                    forked.append(child)
+                    forked.append(
+                        _ExecClass(follower, [], cls.remaining, store))
                     stats.fork_count += 1
                 cls.followers = kept
                 if kept:
@@ -1538,11 +1461,7 @@ def _wave_loop(classes: List[_ExecClass], store: "RunAxisStore",
             if cls.finished or cls.remaining <= 0:
                 _finalize_class(cls, store, stats)
                 cls.done = True
-        # --- resume accelerator sessions, record the wave
-        for cls in live + forked:
-            if (cls.at_boundary and not cls.done
-                    and cls.session is not None):
-                cls.session.sync_in()
+        # --- record the wave
         if hit_boundary:
             stats.boundaries += 1
             occupancy = sum(1 for cls in classes if not cls.done)
@@ -1583,12 +1502,7 @@ def _try_merges(candidates: List[_ExecClass], store: "RunAxisStore",
             if cls.leader.reads_pipeline:
                 continue  # may lead or absorb, never follow
             if base_digest is None:
-                if base.session is not None:
-                    base.session.materialize()
                 base_digest = _merge_digest(base.leader.proc)
-            if cls.session is not None:
-                cls.session.materialize()
-                cls.session = None
             if _merge_digest(cls.leader.proc) != base_digest:
                 continue
             stats.merge_count += 1 + len(cls.followers)
@@ -1606,9 +1520,6 @@ def _finalize_class(cls: _ExecClass, store: "RunAxisStore",
     attached: give each follower the leader's final pipeline state
     (identical by construction) with its own counters and gating
     overlaid."""
-    if cls.session is not None:
-        cls.session.materialize()
-        cls.session = None
     if cls.followers:
         proc = cls.leader.proc
         blob = _leader_blob(cls, stats)

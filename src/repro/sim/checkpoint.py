@@ -181,6 +181,43 @@ def clear_store(root: Path) -> int:
     return removed
 
 
+#: Length of the SHA-256 digest heading every stored result and
+#: checkpoint entry.
+_DIGEST_SIZE = hashlib.sha256().digest_size
+
+
+def read_entry(path: Path) -> Optional[bytes]:
+    """The payload :func:`write_entry` stored at ``path``, or ``None``
+    when the entry is missing, unreadable, or does not match the
+    SHA-256 digest stored ahead of it (a short entry never does)."""
+    try:
+        data = path.read_bytes()
+    except OSError:
+        return None
+    payload = data[_DIGEST_SIZE:]
+    if hashlib.sha256(payload).digest() != data[:_DIGEST_SIZE]:
+        return None
+    return payload
+
+
+def write_entry(path: Path, payload: bytes) -> None:
+    """Store ``payload`` at ``path`` behind its SHA-256 digest.
+
+    Writes go through a temp file and :func:`os.replace`, so a
+    concurrent reader never sees a torn entry; a failed write is
+    skipped.
+    """
+    tmp = path.with_name(f"{path.name}.tmp{os.getpid()}")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(tmp, "wb") as handle:
+            handle.write(hashlib.sha256(payload).digest())
+            handle.write(payload)
+        os.replace(tmp, path)
+    except OSError:
+        tmp.unlink(missing_ok=True)
+
+
 def store_info(root: Path) -> CacheInfo:
     """Entry count and size of a store emptied by :func:`clear_store`."""
     entries = 0
@@ -209,10 +246,9 @@ class CheckpointStore:
     owns the pickle format, and every restore deserializes the blob
     afresh so two runs forked from one checkpoint can never share (and
     mutate) the same live objects.  Entries live at
-    ``<root>/<key[:2]>/<key>.pkl``; writes go through a temp file +
-    :func:`os.replace` so concurrent engines never see a torn entry.
-    All operations are best-effort: an unreadable entry is a miss, a
-    failed write is skipped.
+    ``<root>/<key[:2]>/<key>.pkl`` behind a digest of their payload
+    (:func:`write_entry`).  All operations are best-effort: an
+    unreadable or corrupt entry is a miss, a failed write is skipped.
     """
 
     def __init__(self, root: Union[str, Path, None] = None) -> None:
@@ -225,20 +261,10 @@ class CheckpointStore:
         return self._path(key).is_file()
 
     def get(self, key: str) -> Optional[bytes]:
-        try:
-            return self._path(key).read_bytes()
-        except OSError:
-            return None
+        return read_entry(self._path(key))
 
     def put(self, key: str, blob: bytes) -> None:
-        path = self._path(key)
-        tmp = path.with_name(f"{path.name}.tmp{os.getpid()}")
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            tmp.write_bytes(blob)
-            os.replace(tmp, path)
-        except OSError:
-            tmp.unlink(missing_ok=True)
+        write_entry(self._path(key), blob)
 
     def clear(self) -> int:
         """Delete every checkpoint; returns the number removed."""

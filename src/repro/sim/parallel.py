@@ -55,11 +55,11 @@ from typing import (Callable, Dict, List, Optional, Sequence, Tuple, Union)
 
 from ..analysis.sanitize import sanitize_enabled
 from ..obs.metrics import MetricsRegistry
-from ..pipeline import accel
 from ..pipeline.kernel import BatchStats, batch_enabled
 from .checkpoint import (CacheInfo, CheckpointError, CheckpointStore,
                          _stable, checkpoint_key, checkpoints_enabled,
-                         clear_store, code_fingerprint, store_info)
+                         clear_store, code_fingerprint, read_entry,
+                         store_info, write_entry)
 from .results import SimulationResult
 from .runner import SimulationConfig, Simulator
 
@@ -117,10 +117,10 @@ def config_key(config: SimulationConfig,
 class ResultCache:
     """Pickle store of finished :class:`SimulationResult` objects.
 
-    Entries live at ``<root>/<key[:2]>/<key>.pkl``; writes go through
-    a temp file + :func:`os.replace` so concurrent engines never see a
-    torn entry.  All operations are best-effort: an unreadable entry
-    is a miss, a failed write is skipped.
+    Entries live at ``<root>/<key[:2]>/<key>.pkl`` behind a digest of
+    their payload (:func:`~repro.sim.checkpoint.write_entry`).  All
+    operations are best-effort: an unreadable or corrupt entry is a
+    miss, a failed write is skipped.
     """
 
     def __init__(self, root: Union[str, Path, None] = None) -> None:
@@ -132,25 +132,19 @@ class ResultCache:
         return self.root / key[:2] / f"{key}.pkl"
 
     def get(self, key: str) -> Optional[SimulationResult]:
+        payload = read_entry(self._path(key))
+        if payload is None:
+            return None
         try:
-            with open(self._path(key), "rb") as handle:
-                result = pickle.load(handle)
-        except (OSError, pickle.PickleError, EOFError, AttributeError,
+            result = pickle.loads(payload)
+        except (pickle.PickleError, EOFError, AttributeError,
                 ImportError):
             return None
         return result if isinstance(result, SimulationResult) else None
 
     def put(self, key: str, result: SimulationResult) -> None:
-        path = self._path(key)
-        tmp = path.with_name(f"{path.name}.tmp{os.getpid()}")
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            with open(tmp, "wb") as handle:
-                pickle.dump(result, handle,
-                            protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp, path)
-        except OSError:
-            tmp.unlink(missing_ok=True)
+        write_entry(self._path(key),
+                    pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL))
 
     def clear(self) -> int:
         """Delete every entry; returns the number removed."""
@@ -292,12 +286,6 @@ class EngineStats:
     #: checkpoint vs. runs that captured a fresh one.
     checkpoint_restores: int = 0
     checkpoint_captures: int = 0
-    #: Accelerator provenance: which execution backend ``REPRO_ACCEL``
-    #: resolved to for this engine's runs (``kernel`` = the Python
-    #: macro-step kernel) and the one-time JIT compile seconds — paid
-    #: outside any run timing — when the numba backend was built.
-    accel_backend: str = "kernel"
-    accel_compile_s: float = 0.0
     #: Aggregate per-stage wall-clock seconds across executed runs
     #: (CPU time across workers, not elapsed time, when parallel).
     warmup_s: float = 0.0
@@ -425,11 +413,6 @@ class ExperimentEngine:
                 raise RuntimeError("engine produced no result for a run")
             self.stats.fleet_metrics.merge_dict(result.metrics)
             out.append(result)
-        # Provenance for bench/report: resolved once per run_many so
-        # the stats reflect the backend that actually served this
-        # submission (tests flip REPRO_ACCEL between engine calls).
-        self.stats.accel_backend = accel.active_backend()
-        self.stats.accel_compile_s = accel.accel_compile_s()
         return out
 
     # ------------------------------------------------------------------

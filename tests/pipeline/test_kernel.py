@@ -105,9 +105,10 @@ class TestBitIdentity:
         config = small_config(techniques=techniques, variant=variant)
         assert_identical(*run_pair(monkeypatch, config))
 
-    @pytest.mark.parametrize("name", sorted(TECHNIQUE_MATRIX))
-    def test_technique_on_base_floorplan(self, monkeypatch, name):
-        techniques, _ = TECHNIQUE_MATRIX[name]
+    @pytest.mark.parametrize("techniques", [
+        *(TECHNIQUE_MATRIX[name][0] for name in sorted(TECHNIQUE_MATRIX)),
+        ALL_TECHNIQUES], ids=[*sorted(TECHNIQUE_MATRIX), "all-techniques"])
+    def test_technique_on_base_floorplan(self, monkeypatch, techniques):
         config = small_config(techniques=techniques,
                               variant=FloorplanVariant.BASE)
         assert_identical(*run_pair(monkeypatch, config))
@@ -133,12 +134,14 @@ class TestBitIdentity:
 
     def test_stall_heavy_run(self, monkeypatch):
         """A hot constrained floorplan forces global stalls, covering
-        the kernel's bulk stall skip."""
-        config = small_config(benchmark="perlbmk", techniques=BASELINE,
-                              variant=FloorplanVariant.ALU,
-                              max_cycles=6_000, warmup_cycles=2_000)
-        reference, kernel = run_pair(monkeypatch, config)
-        assert_identical(reference, kernel)
+        the kernel's bulk stall skip, with every technique off and with
+        the default techniques (register-file fine-grain turnoff on)."""
+        for techniques in (BASELINE, TechniqueConfig()):
+            config = small_config(benchmark="perlbmk",
+                                  techniques=techniques,
+                                  variant=FloorplanVariant.ALU,
+                                  max_cycles=6_000, warmup_cycles=2_000)
+            assert_identical(*run_pair(monkeypatch, config))
 
     def test_longer_run_all_techniques(self, monkeypatch):
         config = small_config(techniques=ALL_TECHNIQUES,

@@ -11,6 +11,7 @@ back).
 """
 
 import dataclasses
+import hashlib
 import pickle
 
 import pytest
@@ -231,7 +232,8 @@ class TestCheckpointStore:
         store.put("cd" * 32, b"yz")
         info = store.info()
         assert info.entries == 2
-        assert info.size_bytes == 3
+        # Each entry is its payload behind a SHA-256 digest.
+        assert info.size_bytes == 3 + 2 * hashlib.sha256().digest_size
         assert store.clear() == 2
         assert store.info().entries == 0
 
@@ -308,9 +310,21 @@ class TestEngineIntegration:
             assert dataclasses.asdict(a) == dataclasses.asdict(b)
 
     def test_corrupt_entry_falls_back_to_fresh_warmup(self, tmp_path):
+        """One bit flipped anywhere in a stored entry reads as a miss;
+        an intact entry holding a bad blob falls back to a fresh
+        warm-up."""
         config = small_config()
+        key = checkpoint_key(config)
         store = CheckpointStore(tmp_path)
-        store.put(checkpoint_key(config), b"garbage")
+        store.put(key, capture_blob(config))
+        path = store._path(key)
+        entry = path.read_bytes()
+        step = -(-len(entry) // 16)
+        for at in range(0, len(entry), step):
+            path.write_bytes(entry[:at] + bytes([entry[at] ^ 1])
+                             + entry[at + 1:])
+            assert store.get(key) is None
+        store.put(key, b"garbage")
         outcome = _execute_config(config, checkpoint_root=str(tmp_path))
         assert not outcome.checkpoint_restored
         assert outcome.checkpoint_captured  # fresh capture replaced it

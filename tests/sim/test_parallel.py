@@ -163,15 +163,28 @@ class TestResultCache:
         assert engine.stats.cache_hits == 0
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
+        """Garbage, a replaced byte, or one bit flipped anywhere in a
+        stored entry reads as a miss, and the grid re-runs to the fresh
+        result."""
         cache = ResultCache(tmp_path)
         config = small_config()
         key = config_key(config)
         engine = ExperimentEngine(jobs=1, cache=cache)
-        engine.run_many([config])
-        cache._path(key).write_bytes(b"not a pickle")
-        assert cache.get(key) is None
-        engine.run_many([config])
+        fresh = engine.run_many([config])[0]
+        path = cache._path(key)
+        entry = path.read_bytes()
+        renamed = entry.replace(b"gzip", b"gz\xffp")
+        assert renamed != entry
+        step = -(-len(entry) // 16)
+        flipped = [entry[:at] + bytes([entry[at] ^ 1]) + entry[at + 1:]
+                   for at in range(0, len(entry), step)]
+        for corrupt in (b"not a pickle", renamed, *flipped):
+            path.write_bytes(corrupt)
+            assert cache.get(key) is None
+        path.write_bytes(renamed)
+        rerun = engine.run_many([config])[0]
         assert engine.stats.cache_hits == 0
+        assert dataclasses.asdict(rerun) == dataclasses.asdict(fresh)
 
     def test_clear_and_info(self, tmp_path):
         cache = ResultCache(tmp_path)

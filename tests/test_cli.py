@@ -6,6 +6,7 @@ import os
 import platform
 import signal
 import subprocess
+import time
 
 import pytest
 
@@ -60,25 +61,23 @@ class TestCLI:
 class TestBench:
     def test_snapshot_and_history_provenance(self, cache_dir, tmp_path,
                                              monkeypatch, capsys):
-        monkeypatch.setenv("REPRO_ACCEL", "auto")  # restored on teardown
         out = tmp_path / "bench.json"
         hist = tmp_path / "hist.jsonl"
         argv = ["bench", "--figures", "7", "--benchmarks", "parser",
-                "--cycles", "1500", "--jobs", "2", "--accel", "0",
+                "--cycles", "1500", "--jobs", "2",
                 "--output", str(out), "--history", str(hist)]
         assert main(argv) == 0
         report = json.loads(out.read_text())
-        assert report["accel_backend"] == "kernel"
-        assert report["accel_compile_s"] == 0.0
+        assert sorted(report) == ["benchmarks", "cycles", "grids", "jobs",
+                                  "single_run"]
         assert report["grids"][0]["figure"] == "7"
         lines = hist.read_text().splitlines()
         assert len(lines) == 1
         entry = json.loads(lines[0])
         assert entry["commit"]
-        for key in ("dirty", "diff_sha256", "nproc", "python",
-                    "repro_settings"):
-            assert key in entry
-        assert entry["accel_backend"] == "kernel"
+        assert sorted(entry) == [
+            "commit", "config", "diff_sha256", "dirty", "grids", "nproc",
+            "python", "repro_settings", "single_run", "written_at"]
         assert not {"offloaded_runs", "pool_fallbacks"} & (
             set(entry["grids"][0]) | set(report["grids"][0]))
         assert entry["config"] == {
@@ -91,12 +90,21 @@ class TestBench:
         assert len(hist.read_text().splitlines()) == 2
         assert isinstance(json.loads(out.read_text()), dict)
 
-    def test_accel_flag_parses(self):
-        args = build_parser().parse_args(
-            ["run", "gzip", "--accel", "numpy"])
-        assert args.accel == "numpy"
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["run", "gzip", "--accel", "jax"])
+    def test_first_call_excluded_from_timing(self):
+        """The bench's best-of-N helper must absorb first-invocation
+        cost (trace materialization, cache warming) in an untimed
+        warmup call, not report it inside ``cycles_per_s``."""
+        calls = []
+
+        def fn():
+            calls.append(None)
+            # The first call is slow; steady state is fast.
+            time.sleep(0.25 if len(calls) == 1 else 0.01)
+
+        wall = cli._timed_best_of(fn)
+        assert len(calls) == 4, "expected 1 warmup + 3 timed calls"
+        assert wall < 0.15, (
+            f"first-call cost leaked into the timed window: {wall:.3f}s")
 
 
 class TestBenchProvenance:
@@ -134,7 +142,10 @@ class TestBenchProvenance:
         assert settings["REPRO_BATCH"] is False
         assert settings["REPRO_JOBS"] == 3
         assert settings["REPRO_BATCH_MERGE"] is True
-        assert "REPRO_BATCH_SHM" not in settings
+        assert sorted(settings) == [
+            "REPRO_BATCH", "REPRO_BATCH_MERGE", "REPRO_CACHE",
+            "REPRO_CHECKPOINTS", "REPRO_JOBS", "REPRO_KERNEL",
+            "REPRO_SANITIZE", "REPRO_TRACE"]
 
     def test_non_utf8_diff_is_hashed_raw(self, monkeypatch):
         diff = b"diff --git a/blob b/blob\n+\xff\xfe\x80\n"

@@ -32,7 +32,7 @@ REP104
     bumps must also be landed by the kernel (``pipeline/kernel.py``
     closure) — a counter the kernel forgets silently skews energy
     accounting only when the kernel is on, the worst kind of drift.
-    The batched arm additionally checks the merge/fork write-back:
+    The batched arm additionally checks fork/finalize adoption:
     any batched-path function that restores a pickled leader snapshot
     must write the run's own counter row back into the run-axis store,
     or adoption clobbers the follower's counters with the leader's.
@@ -437,11 +437,11 @@ class KernelParityRule(DeepRule):
     reaches — a counter only the per-run driver lands would silently
     diverge under ``REPRO_BATCH=1``.
 
-    The merge/fork write-back arm gets its own check: a batched-path
+    The fork/finalize adoption arm gets its own check: a batched-path
     function in ``pipeline/kernel.py`` that calls ``restore_state``
-    (leader-snapshot adoption during fork broadcast or re-convergence
-    merge) must also store the run's own counter row back through the
-    run-axis store's backing matrix (``store.data[...] = ...``).
+    (leader-snapshot adoption when a follower forks or its class
+    finishes) must also store the run's own counter row back through
+    the run-axis store's backing matrix (``store.data[...] = ...``).
     ``restore_state`` writes the *leader's* counter values through the
     adopting run's row views, so an adoption path without the row
     write-back silently replaces the follower's activity history.

@@ -33,8 +33,7 @@ from .core.policies import (ALUPolicy, IssueQueuePolicy, RegFilePolicy,
 from .obs import report as obs_report
 from .obs import stages as obs_stages
 from .obs.collector import trace_enabled
-from .pipeline.kernel import (batch_enabled, batch_merge_enabled,
-                              kernel_enabled)
+from .pipeline.kernel import batch_enabled, kernel_enabled
 from .sim.checkpoint import CheckpointStore, checkpoints_enabled
 from .sim.experiments import (alu_experiment, issue_queue_experiment,
                               regfile_experiment)
@@ -75,7 +74,6 @@ def _repro_settings() -> Dict[str, Any]:
         "REPRO_CACHE": cache_enabled(),
         "REPRO_CHECKPOINTS": checkpoints_enabled(),
         "REPRO_BATCH": batch_enabled(),
-        "REPRO_BATCH_MERGE": batch_merge_enabled(),
         "REPRO_KERNEL": kernel_enabled(),
         "REPRO_SANITIZE": sanitize_enabled(),
         "REPRO_TRACE": trace_enabled(),
@@ -405,7 +403,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             grid["batch_groups"] = serial.stats.batch_groups
             # Divergence accounting from the batched serial pass.
             grid["fork_count"] = serial.stats.fork_count
-            grid["merge_count"] = serial.stats.merge_count
             grid["batch_class_occupancy"] = {
                 str(size): waves for size, waves in
                 sorted(serial.stats.batch_class_occupancy.items())}
@@ -421,8 +418,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                      f"{grid['grid_cycles_per_s']:,.0f} grid cycles/s, "
                      f"{grid['batched_runs']} runs in "
                      f"{grid['batch_groups']} batch(es), "
-                     f"{grid['fork_count']} fork(s), "
-                     f"{grid['merge_count']} merge(s))")
+                     f"{grid['fork_count']} fork(s))")
             print(line)
             if grid["parallel_speedup"] < 1.0:
                 print(f"WARNING: figure {figure}: pool dispatch at "
@@ -450,7 +446,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                        ("figure", "runs", "wall_s", "cycles_per_s",
                         "serial_wall_s", "grid_cycles_per_s",
                         "parallel_speedup", "batched_runs",
-                        "batch_groups", "fork_count", "merge_count")}
+                        "batch_groups", "fork_count")}
                       for grid in report["grids"]],
         }
         with open(args.history, "a") as handle:

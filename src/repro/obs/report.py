@@ -350,8 +350,7 @@ def generate(figures: Sequence[str] = ("6", "7", "8"),
             f"{waves} wave(s) x {size} class(es)" for size, waves in
             sorted(stats.batch_class_occupancy.items()))
         report.paragraph(
-            f"Divergence accounting: {stats.fork_count} fork(s), "
-            f"{stats.merge_count} re-convergence merge(s); "
+            f"Divergence accounting: {stats.fork_count} fork(s); "
             f"per-boundary execution-class occupancy: "
             f"{occupancy or 'n/a'}.")
     fleet = stats.fleet_metrics

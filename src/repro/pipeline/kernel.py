@@ -1138,16 +1138,6 @@ def batch_enabled() -> bool:
     return os.environ.get("REPRO_BATCH", "1") != "0"
 
 
-def batch_merge_enabled() -> bool:
-    """Whether diverged execution classes may fold back together when
-    their pipeline state re-converges (``REPRO_BATCH_MERGE``).
-
-    Read from the environment on every call so tests can flip the
-    variable between runs without rebuilding anything.
-    """
-    return os.environ.get("REPRO_BATCH_MERGE", "1") != "0"
-
-
 class BatchStats:
     """Observable bookkeeping of batched execution.
 
@@ -1155,35 +1145,15 @@ class BatchStats:
     experiment engine folds these into ``EngineStats``).
     """
 
-    __slots__ = ("fork_count", "merge_count", "boundaries",
-                 "class_occupancy", "snapshot_full", "snapshot_reused")
+    __slots__ = ("fork_count", "class_occupancy")
 
     def __init__(self) -> None:
         #: Followers that diverged from their leader and became
         #: execution classes of their own.
         self.fork_count = 0
-        #: Runs folded back into another class after re-convergence.
-        self.merge_count = 0
-        #: Sampling boundaries stepped by the lock-step wave loop.
-        self.boundaries = 0
         #: ``{live execution classes -> boundaries observed at that
         #: occupancy}`` — the divergence trajectory of the grid.
         self.class_occupancy: Dict[int, int] = {}
-        #: Full leader snapshots pickled for forks.
-        self.snapshot_full = 0
-        #: Forks served by a cached copy-on-write snapshot (leader ran
-        #: only bulk-skipped stall cycles since the last capture).
-        self.snapshot_reused = 0
-
-    def merge_from(self, other: "BatchStats") -> None:
-        self.fork_count += other.fork_count
-        self.merge_count += other.merge_count
-        self.boundaries += other.boundaries
-        for occupancy, count in other.class_occupancy.items():
-            self.class_occupancy[occupancy] = (
-                self.class_occupancy.get(occupancy, 0) + count)
-        self.snapshot_full += other.snapshot_full
-        self.snapshot_reused += other.snapshot_reused
 
 
 class BatchRun:
@@ -1194,8 +1164,9 @@ class BatchRun:
     marks runs whose DTM inspects live pipeline state during
     ``on_sample`` (the activity-toggling policy reads queue occupancy
     and counters): such runs always execute for real — a follower's
-    pipeline objects are stale between boundaries — so they lead a
-    singleton class from the start.
+    pipeline objects are stale between boundaries — so they never
+    follow.  The first of them leads the group's shared class; any
+    further ones lead singleton classes.
     """
 
     __slots__ = ("proc", "index", "reads_pipeline")
@@ -1212,7 +1183,7 @@ class _ExecClass:
     followers receive broadcast deltas)."""
 
     __slots__ = ("leader", "followers", "remaining", "prev_row",
-                 "done", "at_boundary", "finished", "blob", "blob_stamp")
+                 "done", "at_boundary", "finished")
 
     def __init__(self, leader: BatchRun, followers: List[BatchRun],
                  remaining: int, store: "RunAxisStore") -> None:
@@ -1227,12 +1198,6 @@ class _ExecClass:
         self.done = False
         self.at_boundary = False
         self.finished = False
-        # Copy-on-write fork snapshot: the leader's pickled pipeline
-        # state, valid while the leader has executed only bulk-skipped
-        # stall cycles since capture (``blob_stamp`` is the active
-        # cycle count at capture time).
-        self.blob: Optional[bytes] = None
-        self.blob_stamp = -1
 
 
 def _effective_gating(proc: "Processor") -> tuple:
@@ -1254,107 +1219,6 @@ def _effective_gating(proc: "Processor") -> tuple:
             throttled if throttled > 0 else 0, *rest)
 
 
-def _merge_signature(proc: "Processor") -> tuple:
-    """Cheap scalar prefilter for re-convergence: two runs can only
-    share future execution if every scalar the execution reads or
-    reports agrees."""
-    st = proc.stats
-    fetch = proc.fetch
-    mem = proc.memory
-    return (proc.now, st.cycles, st.committed, st.issued,
-            st.stall_cycles, st.throttled_cycles, fetch.fetched,
-            fetch.trace.position, proc.rob.retired,
-            proc.fp_reg_accesses, mem.l1d.stats.accesses,
-            mem.l2.stats.accesses)
-
-
-def _merge_digest(proc: "Processor") -> bytes:
-    """Full-state digest deciding re-convergence.
-
-    Pickle-byte equality of the masked snapshot implies structural
-    identity of everything future execution depends on, so two runs
-    with equal digests (and equal :func:`_merge_signature` scalars)
-    produce bit-identical results from here on whether they execute
-    separately or share one leader.  Masked before pickling:
-
-    * per-run SoA counters (issue-queue counter blocks, functional-unit
-      banks, regfile access counts) — they live on each run's own row,
-      legitimately differ, and are preserved across adoption anyway;
-    * stall/throttle deadlines, normalized to cycles-remaining exactly
-      as :func:`_effective_gating` does (expired deadlines are inert);
-    * set-valued state (rename ``ready``, regfile ``off``/``blocked``,
-      issue-queue entry ``waiting_tags``), replaced by sorted tuples.
-      These sets are membership-only — nothing iterates them in an
-      execution-relevant order (checkpoint restore rebuilds them via
-      ``set(...)`` and stays bit-identical) — but their pickle bytes
-      depend on insertion history, and a forked run's state went
-      through a pickle round-trip that reorders them.  Without the
-      canonicalization a fork could never match its origin class again.
-
-    Residual dict iteration-order differences can still produce
-    different bytes for equal states (a false negative) — that only
-    costs a missed merge, never a wrong one.
-    """
-    state = dict(proc.snapshot_state())
-    now = proc.now
-    for key in ("stalled_until", "throttled_until"):
-        left = state[key] - now
-        state[key] = left if left > 0 else 0
-    for key in ("int_iq", "fp_iq"):
-        queue = dict(state[key], counters=None)
-        queue["slots"] = [_canon_entry(e) for e in queue["slots"]]
-        queue["pending_removal"] = [_canon_entry(e) for e in
-                                    queue["pending_removal"]]
-        state[key] = queue
-    for key in ("int_alus", "fp_adders"):
-        state[key] = [dict(unit, counters=None) for unit in state[key]]
-    state["fp_mul"] = dict(state["fp_mul"], counters=None)
-    regfile = dict(state["regfile"], counters=None)
-    regfile["off"] = tuple(sorted(regfile["off"]))
-    regfile["blocked"] = tuple(sorted(regfile["blocked"]))
-    state["regfile"] = regfile
-    rename = dict(state["rename"])
-    rename["ready"] = tuple(sorted(rename["ready"]))
-    state["rename"] = rename
-    return pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
-
-
-def _canon_entry(entry) -> Optional[tuple]:
-    """Order-canonical content tuple for one issue-queue slot.
-
-    Content equality substitutes for identity here: ``op.seq`` is
-    unique per in-flight op, so equal tuples can only come from the
-    same logical entry (appearing in ``slots`` and, once issued, in
-    ``pending_removal``)."""
-    if entry is None:
-        return None
-    return (entry.op, entry.rob_index, entry.issued_at,
-            tuple(sorted(entry.waiting_tags)))
-
-
-def _leader_blob(cls: _ExecClass, stats: BatchStats) -> bytes:
-    """The leader's pickled pipeline state, served copy-on-write.
-
-    While a leader only bulk-skips stall cycles, nothing in its
-    pipeline moves — only ``now``, ``stats.cycles`` and
-    ``stats.stall_cycles`` advance (and gating, which adoption
-    overlays anyway).  The active-cycle count stamps the cached blob;
-    a stale-stamped reuse is finished off by the scalar patch in
-    :func:`_adopt_leader_state`, so a fork during a stalled stretch
-    costs O(delta) instead of re-pickling the whole processor.
-    """
-    proc = cls.leader.proc
-    pstats = proc.stats
-    stamp = pstats.cycles - pstats.stall_cycles
-    if cls.blob is not None and cls.blob_stamp == stamp:
-        stats.snapshot_reused += 1
-        return cls.blob
-    cls.blob = pickle.dumps(proc.snapshot_state())
-    cls.blob_stamp = stamp
-    stats.snapshot_full += 1
-    return cls.blob
-
-
 def run_batch(runs: List[BatchRun], store: "RunAxisStore",
               max_cycles: int, sample_interval: int,
               on_boundary,
@@ -1373,11 +1237,8 @@ def run_batch(runs: List[BatchRun], store: "RunAxisStore",
     to the per-run kernel (and, transitively, the reference loop).
 
     Execution classes advance **one sensing interval per wave** so
-    every live class stands at the same boundary together.  That
-    lock-step is what enables divergence tolerance: at each boundary,
-    forked classes whose masked state digest re-matches another class
-    fold back in as followers (:func:`_merge_digest`;
-    ``REPRO_BATCH_MERGE=0`` disables).
+    every live class stands at the same boundary together; ``stats``
+    records how many classes were alive at each boundary.
     """
     if sample_interval <= 0:
         raise ValueError("batched execution requires a sampling interval")
@@ -1389,15 +1250,13 @@ def run_batch(runs: List[BatchRun], store: "RunAxisStore",
             raise ValueError("batched runs must start in lock-step")
     if stats is None:
         stats = BatchStats()
-    merging = batch_merge_enabled()
-    sharers = [r for r in runs if not r.reads_pipeline]
-    classes: List[_ExecClass] = []
-    if sharers:
-        classes.append(
-            _ExecClass(sharers[0], sharers[1:], max_cycles, store))
-    for run in runs:
-        if run.reads_pipeline:
-            classes.append(_ExecClass(run, [], max_cycles, store))
+    # A pipeline-reading run never follows, but it may lead: a leader
+    # executes for real, so its DTM reads live state.  The first one
+    # leads the shared class; any further ones run alone.
+    readers = [r for r in runs if r.reads_pipeline]
+    sharers = readers[:1] + [r for r in runs if not r.reads_pipeline]
+    classes = [_ExecClass(sharers[0], sharers[1:], max_cycles, store)]
+    classes += [_ExecClass(r, [], max_cycles, store) for r in readers[1:]]
     data = store.data
     while True:
         live = [cls for cls in classes if not cls.done]
@@ -1439,8 +1298,7 @@ def run_batch(runs: List[BatchRun], store: "RunAxisStore",
                         kept.append(follower)
                         continue
                     # Diverged: fork into a class of its own.
-                    blob = _leader_blob(cls, stats)
-                    _adopt_leader_state(follower, proc, blob, store)
+                    _adopt_leader_state(follower, proc, store)
                     forked.append(
                         _ExecClass(follower, [], cls.remaining, store))
                     stats.fork_count += 1
@@ -1448,22 +1306,15 @@ def run_batch(runs: List[BatchRun], store: "RunAxisStore",
                 if kept:
                     cls.prev_row = data[cls.leader.index].copy()
         classes.extend(forked)
-        # --- merge: fold re-converged classes back together
-        if merging:
-            candidates = [cls for cls in live + forked
-                          if cls.at_boundary and not cls.finished
-                          and not cls.done and cls.remaining > 0]
-            _try_merges(candidates, store, stats)
         # --- completion: budget exhausted or pipeline drained
         for cls in live + forked:
             if cls.done:
                 continue
             if cls.finished or cls.remaining <= 0:
-                _finalize_class(cls, store, stats)
+                _finalize_class(cls, store)
                 cls.done = True
         # --- record the wave
         if hit_boundary:
-            stats.boundaries += 1
             occupancy = sum(1 for cls in classes if not cls.done)
             # Occupancy 0 only occurs at the boundary where the group's
             # last classes complete — a group exit, not a wave.
@@ -1472,61 +1323,14 @@ def run_batch(runs: List[BatchRun], store: "RunAxisStore",
                     stats.class_occupancy.get(occupancy, 0) + 1)
 
 
-def _try_merges(candidates: List[_ExecClass], store: "RunAxisStore",
-                stats: BatchStats) -> None:
-    """Fold digest-identical classes standing at one boundary back
-    into shared execution.
-
-    A pipeline-reading leader (activity toggling) may absorb others
-    but can never become a follower, so those classes sort first
-    within a signature group.  The absorbed class's members join the
-    absorber as followers; they keep their own counter rows, sensors,
-    and DTM state, exactly as if they had been followers all along —
-    legal because equal digests mean their future execution is the
-    absorber's future execution.
-    """
-    if len(candidates) < 2:
-        return
-    groups: Dict[tuple, List[_ExecClass]] = {}
-    for cls in candidates:
-        proc = cls.leader.proc
-        key = (_effective_gating(proc), _merge_signature(proc))
-        groups.setdefault(key, []).append(cls)
-    for group in groups.values():
-        if len(group) < 2:
-            continue
-        group.sort(key=lambda cls: not cls.leader.reads_pipeline)
-        base = group[0]
-        base_digest: Optional[bytes] = None
-        for cls in group[1:]:
-            if cls.leader.reads_pipeline:
-                continue  # may lead or absorb, never follow
-            if base_digest is None:
-                base_digest = _merge_digest(base.leader.proc)
-            if _merge_digest(cls.leader.proc) != base_digest:
-                continue
-            stats.merge_count += 1 + len(cls.followers)
-            base.followers.append(cls.leader)
-            base.followers.extend(cls.followers)
-            base.prev_row = store.data[base.leader.index].copy()
-            cls.followers = []
-            cls.blob = None
-            cls.done = True
-
-
-def _finalize_class(cls: _ExecClass, store: "RunAxisStore",
-                    stats: BatchStats) -> None:
+def _finalize_class(cls: _ExecClass, store: "RunAxisStore") -> None:
     """Class completed (drain or cycle budget) with followers still
     attached: give each follower the leader's final pipeline state
     (identical by construction) with its own counters and gating
     overlaid."""
-    if cls.followers:
-        proc = cls.leader.proc
-        blob = _leader_blob(cls, stats)
-        for follower in cls.followers:
-            _adopt_leader_state(follower, proc, blob, store)
-        cls.followers = []
-    cls.blob = None
+    for follower in cls.followers:
+        _adopt_leader_state(follower, cls.leader.proc, store)
+    cls.followers = []
 
 
 def _sync_scalars(follower: "Processor", leader: "Processor") -> None:
@@ -1547,7 +1351,7 @@ def _sync_scalars(follower: "Processor", leader: "Processor") -> None:
 
 
 def _adopt_leader_state(run: BatchRun, leader: "Processor",
-                        blob: bytes, store: "RunAxisStore") -> None:
+                        store: "RunAxisStore") -> None:
     """Give ``run`` the leader's full pipeline state, preserving the
     run's own counters and DTM gating decisions.
 
@@ -1555,23 +1359,15 @@ def _adopt_leader_state(run: BatchRun, leader: "Processor",
     state (plus counters on its own row), so restoring it and then
     overlaying this run's own gating tuple reconstructs exactly the
     state this run would have reached executing alone.  The run's
-    trace cursor is repositioned to the leader's; unpickling per run
-    keeps forked siblings from sharing mutable state.
-
-    ``blob`` may be a copy-on-write snapshot captured before
-    bulk-skipped stall cycles (see :func:`_leader_blob`); the only
-    scalars that advance during such a stretch are patched from the
-    live leader after the restore.
+    trace cursor is repositioned to the leader's; one pickle round trip
+    per adopting run keeps forked siblings from sharing mutable state.
     """
     proc = run.proc
     own_row = store.row(run.index).copy()
     gating = proc.capture_gating()
-    proc.restore_state(pickle.loads(blob))
+    proc.restore_state(pickle.loads(pickle.dumps(leader.snapshot_state())))
     # restore_state wrote the leader's counter values through this
     # run's row views; put the run's own counters back.
     store.data[run.index] = own_row
-    proc.now = leader.now
-    proc.stats.cycles = leader.stats.cycles
-    proc.stats.stall_cycles = leader.stats.stall_cycles
     proc.apply_gating(gating)
     proc.fetch.trace.seek(leader.fetch.trace.position)

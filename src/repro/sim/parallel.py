@@ -269,17 +269,16 @@ class EngineStats:
     #: ran.
     batched_runs: int = 0
     batch_groups: int = 0
-    #: Divergence tolerance inside batched groups: gating forks, runs
-    #: folded back in by re-convergence merging, and the per-boundary
-    #: execution-class occupancy histogram (classes alive at a
-    #: boundary -> boundaries), folded in from every group wherever it
-    #: ran.
+    #: Divergence inside batched groups: gating forks and the
+    #: per-boundary execution-class occupancy histogram (classes alive
+    #: at a boundary -> boundaries), folded in from every group
+    #: wherever it ran.
     fork_count: int = 0
-    merge_count: int = 0
     batch_class_occupancy: Dict[int, int] = field(default_factory=dict)
-    #: Always 0.  Kept so readers of the former in-group pool offload
-    #: and adaptive serial fallback counters keep working; whole
-    #: groups now go to the pool instead (DESIGN.md section 8).
+    #: Always 0.  Kept so readers of the former re-convergence merge,
+    #: in-group pool offload and adaptive serial fallback counters
+    #: keep working (DESIGN.md sections 8 and 14).
+    merge_count: int = 0
     offloaded_runs: int = 0
     pool_fallbacks: int = 0
     #: Warm-checkpoint traffic: runs that restored an existing
@@ -510,7 +509,6 @@ class ExperimentEngine:
         stats.batched_runs += len(task)
         stats.batch_groups += 1
         stats.fork_count += batch.fork_count
-        stats.merge_count += batch.merge_count
         for occupancy, boundaries in batch.class_occupancy.items():
             stats.batch_class_occupancy[occupancy] = (
                 stats.batch_class_occupancy.get(occupancy, 0)

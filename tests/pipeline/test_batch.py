@@ -21,11 +21,13 @@ import pytest
 from repro.core.mapping import MappingKind
 from repro.core.policies import (ALUPolicy, IssueQueuePolicy,
                                  RegFilePolicy, TechniqueConfig)
+from repro.pipeline import kernel as kernel_mod
 from repro.pipeline.kernel import BatchStats, batch_enabled
 from repro.pipeline.soa import RunAxisStore
 from repro.sim import batch as batch_mod
 from repro.sim.batch import batch_key, plan_groups, run_group
-from repro.sim.parallel import ExperimentEngine, WorkerOutcome
+from repro.sim.checkpoint import CheckpointStore
+from repro.sim.parallel import ExperimentEngine, ResultCache, WorkerOutcome
 from repro.sim.runner import SimulationConfig, Simulator
 from repro.thermal.floorplan import FloorplanVariant
 
@@ -103,8 +105,8 @@ class TestPlanGroups:
         configs = fig6_grid()
         groups = plan_groups(configs, range(len(configs)))
         # One group per benchmark; toggling joins its benchmark's
-        # group (it batches as a singleton *execution class*, which is
-        # an intra-batch concern, not a grouping one).
+        # group (it leads the group's *execution class*, which is an
+        # intra-batch concern, not a grouping one).
         assert sorted(sorted(g) for g in groups) == [[0, 1], [2, 3]]
 
     def test_round_robin_warm_key_differs(self):
@@ -348,8 +350,7 @@ def install_gating_schedule(monkeypatch, schedule):
     class's sampling + DTM, exactly where real DTM divergence appears)
     and ``Simulator._on_sample`` for solo runs whose ``_sched_pos``
     attribute is set.  Toggling the last FP adder's turnoff flag is a
-    pure gating change on an int-heavy benchmark, so diverged runs can
-    genuinely re-converge."""
+    pure gating change on an int-heavy benchmark."""
 
     def apply(proc, pos):
         flag = schedule.get((proc.now, pos))
@@ -393,48 +394,35 @@ def assert_outcomes_match(outcomes, results):
                 == dataclasses.asdict(result))
 
 
-class TestDivergenceMerging:
-    """Forced divergence: fork → re-convergence merge → re-fork must
-    be bit-identical to solo execution, with honest stats."""
+class TestDivergence:
+    """Forced divergence: a follower that forks off its leader must
+    stay bit-identical to solo execution, with honest stats."""
 
     # Boundaries sit at multiples of the 250-cycle sensor interval;
     # warm-up ends at 1000 (or mid-interval at 1117), so 1250 is the
-    # first measured boundary.  Run 1 (base) diverges at 1250, merges
-    # back at 1500, re-diverges at 2000, re-merges at 2250.
+    # first measured boundary.  Run 1 (base) diverges at 1250 and
+    # flips its gating three more times on its own class.
     SCHEDULE = {(1250, 1): True, (1500, 1): False,
                 (2000, 1): True, (2250, 1): False}
 
     @pytest.mark.parametrize("warmup", [1_000, 1_117])
-    def test_fork_merge_refork_identity(self, monkeypatch, warmup):
-        """Full cycle incl. a mid-interval warm restore: the follower
-        forks off, folds back in, and forks again, and every run stays
+    def test_fork_identity(self, monkeypatch, warmup):
+        """Including a mid-interval warm restore: the follower forks
+        off once, at the first measured boundary, and every run stays
         asdict-identical to running alone."""
         configs = divergence_grid(warmup_cycles=warmup)
         install_gating_schedule(monkeypatch, self.SCHEDULE)
         stats = BatchStats()
         outcomes = run_group(configs, stats=stats)
-        assert stats.fork_count == 2
-        assert stats.merge_count == 2
-        assert set(stats.class_occupancy) >= {1, 2}
-        assert_outcomes_match(outcomes, solo_results(configs))
-
-    def test_merge_env_opt_out(self, monkeypatch):
-        """REPRO_BATCH_MERGE=0: forks still happen, merges never, and
-        identity is unaffected."""
-        monkeypatch.setenv("REPRO_BATCH_MERGE", "0")
-        configs = divergence_grid()
-        install_gating_schedule(monkeypatch, self.SCHEDULE)
-        stats = BatchStats()
-        outcomes = run_group(configs, stats=stats)
-        assert stats.fork_count >= 1
-        assert stats.merge_count == 0
+        assert stats.fork_count == 1
+        assert set(stats.class_occupancy) == {2}
         assert_outcomes_match(outcomes, solo_results(configs))
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_randomized_divergence_schedules(self, monkeypatch, seed):
         """Random gating-divergence schedules across seeds: whatever
-        fork/merge pattern falls out, results match the per-run
-        reference bit for bit."""
+        fork pattern falls out, results match the per-run reference
+        bit for bit."""
         rng = random.Random(seed)
         schedule = {}
         state = {0: False, 1: False}
@@ -450,8 +438,8 @@ class TestDivergenceMerging:
         assert_outcomes_match(outcomes, solo_results(configs))
 
     def test_schedule_matches_reference_loop(self, monkeypatch):
-        """The same forced fork/merge cycle holds against the
-        REPRO_KERNEL=0 per-cycle reference loop."""
+        """The same forced fork holds against the REPRO_KERNEL=0
+        per-cycle reference loop."""
         configs = divergence_grid()
         install_gating_schedule(monkeypatch, self.SCHEDULE)
         outcomes = run_group(configs, stats=BatchStats())
@@ -459,7 +447,7 @@ class TestDivergenceMerging:
         assert_outcomes_match(outcomes, solo_results(configs))
 
     def test_engine_surfaces_divergence_stats(self, monkeypatch):
-        """EngineStats carries fork/merge counts and per-boundary
+        """EngineStats carries the fork count and per-boundary
         execution-class occupancy up from the batched groups."""
         configs = divergence_grid()
         install_gating_schedule(monkeypatch, self.SCHEDULE)
@@ -467,18 +455,112 @@ class TestDivergenceMerging:
                                   use_checkpoints=False)
         engine.run_many(configs)
         stats = engine.stats
-        assert stats.fork_count == 2
-        assert stats.merge_count == 2
+        assert stats.fork_count == 1
+        assert stats.merge_count == 0
         assert stats.batch_class_occupancy
         assert sum(stats.batch_class_occupancy.values()) > 0
+
+
+class TestFaultAfterFork:
+    """A fault raised inside a group after one of its runs forked fails
+    the submission cleanly, inline and in a pool worker: nothing
+    partial is cached, every checkpoint left reads back, and a rerun
+    equals per-run execution."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_fault_leaves_no_partial_entry(self, monkeypatch, tmp_path,
+                                           jobs):
+        for env in ("REPRO_BATCH", "REPRO_KERNEL", "REPRO_CACHE",
+                    "REPRO_CHECKPOINTS"):
+            monkeypatch.setenv(env, "1")
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        # The fine-grain/base group plus a solo run, so that at jobs=2
+        # the group is one of two pool tasks.
+        configs = divergence_grid() + [config("mesa")]
+        original = batch_mod._sample_boundary
+        install_gating_schedule(monkeypatch, {(1250, 1): True})
+        scheduled = batch_mod._sample_boundary
+
+        def faulty(sims, class_runs):
+            # Run 1 leads a class of its own only once it has forked.
+            run = class_runs[0]
+            if run.index == 1 and run.proc.now == 2_000:
+                raise RuntimeError("injected boundary fault")
+            scheduled(sims, class_runs)
+
+        monkeypatch.setattr(batch_mod, "_sample_boundary", faulty)
+        faulted = ExperimentEngine(jobs=jobs)
+        with pytest.raises(RuntimeError, match="injected boundary fault"):
+            faulted.run_many(configs)
+        # At jobs=2 the solo run finished in the pool beside the group.
+        assert faulted.stats.parallel_runs == (1 if jobs == 2 else 0)
+        assert faulted.stats.inline_runs == 0
+        assert ResultCache(tmp_path).info().entries == 0
+        assert not list(tmp_path.rglob("*.tmp*"))
+        store = CheckpointStore(tmp_path / "checkpoints")
+        left = sorted(store.root.glob("??/*.pkl"))
+        assert left
+        for path in left:
+            assert store.get(path.stem) is not None
+
+        monkeypatch.setattr(batch_mod, "_sample_boundary", original)
+        engine = ExperimentEngine(jobs=jobs)
+        rerun = engine.run_many(configs)
+        assert engine.stats.checkpoint_restores >= len(left)
+        per_run, _ = run_grid(monkeypatch, configs, batch="0")
+        assert_all_identical(rerun, per_run)
+
+
+def issue_queue_grid(*policies):
+    """gzip on the issue-queue floorplan, one run per policy."""
+    return [config("gzip", FloorplanVariant.ISSUE_QUEUE,
+                   TechniqueConfig(issue_queue=policy))
+            for policy in policies]
+
+
+class TestReaderLeads:
+    """The pipeline-reading toggler leads its group's shared class from
+    the start: its followers fork off it only once its gating differs
+    from theirs."""
+
+    # Run 0 (the toggler) flips its gating at boundary 1750, the third
+    # measured one; every run still following it forks there.
+    SCHEDULE = {(1750, 0): True}
+
+    @pytest.mark.parametrize("bases", [1, 2], ids=["pair", "two-bases"])
+    def test_followers_fork_off_the_reader(self, monkeypatch, bases):
+        """``two-bases`` forks two followers at one boundary."""
+        configs = issue_queue_grid(IssueQueuePolicy.ACTIVITY_TOGGLING,
+                                   *[IssueQueuePolicy.BASE] * bases)
+        install_gating_schedule(monkeypatch, self.SCHEDULE)
+        executed = []  # (now, processor) at the start of every chunk
+        run_chunk = kernel_mod._run_chunk
+
+        def spy(proc, n_cycles):
+            executed.append((proc.now, proc))
+            return run_chunk(proc, n_cycles)
+
+        monkeypatch.setattr(kernel_mod, "_run_chunk", spy)
+        stats = BatchStats()
+        outcomes = run_group(configs, stats=stats)
+        monkeypatch.setattr(kernel_mod, "_run_chunk", run_chunk)
+        # Only the toggler executes before the flip, every run after.
+        assert len({id(p) for now, p in executed if now < 1750}) == 1
+        assert len({id(p) for _, p in executed}) == 1 + bases
+        assert stats.fork_count == bases
+        # One class at 1250 and 1500; one per run from 1750 to 3250.
+        assert stats.class_occupancy == {1: 2, 1 + bases: 7}
+        assert_outcomes_match(outcomes, solo_results(configs))
+        monkeypatch.setenv("REPRO_KERNEL", "0")
+        assert_outcomes_match(outcomes, solo_results(configs))
 
 
 def figure_grid(**overrides):
     """The figure-6/7/8 technique matrix over two benchmarks: a
     toggling/base issue-queue pair, a round-robin + fine-grain/base
     ALU triple, and the four register-file configurations each.  The
-    pipeline-reading toggler leads the gzip pair and follows in the
-    mesa pair."""
+    pipeline-reading toggler leads both pairs, submitted first in the
+    gzip pair and second in the mesa pair."""
     toggling, base = (IssueQueuePolicy.ACTIVITY_TOGGLING,
                       IssueQueuePolicy.BASE)
     grid = []
@@ -511,7 +593,7 @@ class TestParallelGroups:
         assert_all_identical(parallel, serial)
         assert_all_identical(parallel, per_run)
         for field in ("batched_runs", "batch_groups", "fork_count",
-                      "merge_count", "batch_class_occupancy"):
+                      "batch_class_occupancy"):
             assert getattr(par, field) == getattr(ser, field), field
         assert par.batched_runs > 0 and par.batch_class_occupancy
         assert par.parallel_runs == len(configs)
@@ -519,7 +601,8 @@ class TestParallelGroups:
         for stats in (par, ser):
             assert (stats.cache_hits + stats.parallel_runs
                     + stats.inline_runs == stats.total)
-            assert stats.offloaded_runs == stats.pool_fallbacks == 0
+            assert (stats.merge_count == stats.offloaded_runs
+                    == stats.pool_fallbacks == 0)
 
 
 class TestThroughput:

@@ -10,6 +10,7 @@ reference loop; the default runs the kernel.
 
 import dataclasses
 import gc
+import pickle
 import random
 import time
 
@@ -22,7 +23,7 @@ from repro.core.policies import (ALL_TECHNIQUES, BASELINE, ALUPolicy,
 from repro.pipeline.alu import _InFlight
 from repro.pipeline.isa import DEFAULT_LATENCY, OpClass
 from repro.pipeline.issue_queue import IQEntry
-from repro.pipeline.kernel import _merge_digest, kernel_enabled
+from repro.pipeline.kernel import kernel_enabled
 from repro.pipeline.rob import ROBEntry
 from repro.sim.runner import SimulationConfig, Simulator
 from repro.thermal.floorplan import FloorplanVariant
@@ -48,6 +49,49 @@ def run_pair(monkeypatch, config):
 def assert_identical(reference, kernel):
     assert (dataclasses.asdict(reference)
             == dataclasses.asdict(kernel))
+
+
+def state_digest(proc):
+    """Pickle digest of the processor's pipeline state, for comparing
+    two runs' final states.
+
+    Masked before pickling: per-run SoA counters (compared as arrays
+    by the callers), stall/throttle deadlines normalized to
+    cycles-remaining (an expired deadline is inert), and set-valued
+    state (rename ``ready``, regfile ``off``/``blocked``, issue-queue
+    entry ``waiting_tags``) replaced by sorted tuples, because a set's
+    pickle bytes depend on its insertion history.
+    """
+    state = dict(proc.snapshot_state())
+    now = proc.now
+    for key in ("stalled_until", "throttled_until"):
+        left = state[key] - now
+        state[key] = left if left > 0 else 0
+    for key in ("int_iq", "fp_iq"):
+        queue = dict(state[key], counters=None)
+        queue["slots"] = [canon_entry(e) for e in queue["slots"]]
+        queue["pending_removal"] = [canon_entry(e) for e in
+                                    queue["pending_removal"]]
+        state[key] = queue
+    for key in ("int_alus", "fp_adders"):
+        state[key] = [dict(unit, counters=None) for unit in state[key]]
+    state["fp_mul"] = dict(state["fp_mul"], counters=None)
+    regfile = dict(state["regfile"], counters=None)
+    regfile["off"] = tuple(sorted(regfile["off"]))
+    regfile["blocked"] = tuple(sorted(regfile["blocked"]))
+    state["regfile"] = regfile
+    rename = dict(state["rename"])
+    rename["ready"] = tuple(sorted(rename["ready"]))
+    state["rename"] = rename
+    return pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
+
+
+def canon_entry(entry):
+    """Order-canonical content tuple for one issue-queue slot."""
+    if entry is None:
+        return None
+    return (entry.op, entry.rob_index, entry.issued_at,
+            tuple(sorted(entry.waiting_tags)))
 
 
 class TestKernelEnabled:
@@ -170,7 +214,7 @@ class TestInternalState:
             arrays = [proc.int_iq._c, proc.fp_iq._c, proc._int_bank.ops,
                       proc._fp_add_bank.ops, proc._fp_mul_bank.ops,
                       proc.regfile._reads, proc.regfile._writes]
-            outcomes.append((result, _merge_digest(proc),
+            outcomes.append((result, state_digest(proc),
                              [a.tolist() for a in arrays]))
         return outcomes
 
@@ -236,7 +280,7 @@ def final_state(proc):
                s.counters.requests_seen, s._rr_offset)
               for s in (proc.int_select, proc.fp_add_select,
                         proc.fp_mul_select)]
-    return (_merge_digest(proc), [a.tolist() for a in arrays], select,
+    return (state_digest(proc), [a.tolist() for a in arrays], select,
             dataclasses.asdict(proc.stats))
 
 

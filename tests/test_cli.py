@@ -78,7 +78,7 @@ class TestBench:
         assert sorted(entry) == [
             "commit", "config", "diff_sha256", "dirty", "grids", "nproc",
             "python", "repro_settings", "single_run", "written_at"]
-        assert not {"offloaded_runs", "pool_fallbacks"} & (
+        assert not {"merge_count", "offloaded_runs", "pool_fallbacks"} & (
             set(entry["grids"][0]) | set(report["grids"][0]))
         assert entry["config"] == {
             "figures": ["7"], "benchmarks": ["parser"],
@@ -141,11 +141,9 @@ class TestBenchProvenance:
         settings = prov["repro_settings"]
         assert settings["REPRO_BATCH"] is False
         assert settings["REPRO_JOBS"] == 3
-        assert settings["REPRO_BATCH_MERGE"] is True
         assert sorted(settings) == [
-            "REPRO_BATCH", "REPRO_BATCH_MERGE", "REPRO_CACHE",
-            "REPRO_CHECKPOINTS", "REPRO_JOBS", "REPRO_KERNEL",
-            "REPRO_SANITIZE", "REPRO_TRACE"]
+            "REPRO_BATCH", "REPRO_CACHE", "REPRO_CHECKPOINTS",
+            "REPRO_JOBS", "REPRO_KERNEL", "REPRO_SANITIZE", "REPRO_TRACE"]
 
     def test_non_utf8_diff_is_hashed_raw(self, monkeypatch):
         diff = b"diff --git a/blob b/blob\n+\xff\xfe\x80\n"

@@ -12,34 +12,23 @@ from __future__ import annotations
 
 import argparse
 import cProfile
-import gc
-import hashlib
-import json
-import os
-import platform
 import pstats
 import signal
-import subprocess
 import sys
-import tempfile
 import time
-from typing import Any, Callable, Dict, List, Optional
+from typing import List, Optional
 
 from .analysis import lint as analysis_lint
-from .analysis.sanitize import sanitize_enabled
 from .core.mapping import MappingKind
 from .core.policies import (ALUPolicy, IssueQueuePolicy, RegFilePolicy,
                             TechniqueConfig)
 from .obs import report as obs_report
 from .obs import stages as obs_stages
-from .obs.collector import trace_enabled
-from .pipeline.kernel import batch_enabled, kernel_enabled
-from .sim.checkpoint import CheckpointStore, checkpoints_enabled
+from .sim.checkpoint import CheckpointStore
 from .sim.experiments import (alu_experiment, issue_queue_experiment,
                               regfile_experiment)
-from .sim.parallel import (ExperimentEngine, ResultCache, cache_enabled,
-                           default_jobs)
-from .sim.runner import SimulationConfig, Simulator, run_simulation
+from .sim.parallel import ExperimentEngine, ResultCache
+from .sim.runner import SimulationConfig, Simulator
 from .thermal.floorplan import FloorplanVariant
 from .workloads.spec2000 import BENCHMARK_NAMES, PROFILES
 
@@ -51,82 +40,6 @@ def _parse_benchmarks(text: str) -> List[str]:
             raise SystemExit(f"unknown benchmark {name!r}; see "
                              f"'python -m repro list'")
     return names
-
-
-def _git(*args: str) -> Optional[bytes]:
-    """Raw standard output of ``git <args>`` run in this package's
-    directory; ``None`` outside a checkout (installed package,
-    tarball) or when git fails."""
-    try:
-        proc = subprocess.run(
-            ["git", *args], capture_output=True, timeout=10,
-            cwd=os.path.dirname(os.path.abspath(__file__)))
-    except (OSError, subprocess.TimeoutExpired):
-        return None
-    return proc.stdout if proc.returncode == 0 else None
-
-
-def _repro_settings() -> Dict[str, Any]:
-    """Every ``REPRO_*`` execution switch as this process resolves it,
-    defaults applied."""
-    return {
-        "REPRO_JOBS": default_jobs(),
-        "REPRO_CACHE": cache_enabled(),
-        "REPRO_CHECKPOINTS": checkpoints_enabled(),
-        "REPRO_BATCH": batch_enabled(),
-        "REPRO_KERNEL": kernel_enabled(),
-        "REPRO_SANITIZE": sanitize_enabled(),
-        "REPRO_TRACE": trace_enabled(),
-    }
-
-
-def _provenance() -> Dict[str, Any]:
-    """What a bench measured: the commit, whether the package source
-    (this directory, ``src/repro`` in a checkout) differed from it
-    (tracked changes or untracked files) and a SHA-256 of the raw
-    bytes of ``git diff HEAD`` over that directory, the host's CPU
-    count and Python version, and the resolved ``REPRO_*`` settings.
-    Files outside the package, the bench's own ``BENCH_parallel.json``
-    and ``BENCH_history.jsonl`` among them, leave the flag and hash
-    alone, so a re-run on an unmodified commit records a clean tree.
-    Outside a checkout the commit reads ``unknown`` and the dirty flag
-    and diff hash ``None``."""
-    commit = _git("rev-parse", "--short", "HEAD")
-    diff = _git("diff", "HEAD", "--", ".")
-    untracked = _git("ls-files", "--others", "--exclude-standard",
-                     "--", ".")
-    return {
-        "commit": (commit.decode(errors="replace").strip()
-                   if commit else "unknown"),
-        "dirty": None if diff is None else bool(diff or untracked),
-        "diff_sha256": (None if diff is None else
-                        hashlib.sha256(diff).hexdigest()),
-        "nproc": os.cpu_count(),
-        "python": platform.python_version(),
-        "repro_settings": _repro_settings(),
-    }
-
-
-def _timed_best_of(fn: Callable[[], Any], repeats: int = 3) -> float:
-    """Best-of-``repeats`` wall-clock seconds for ``fn()``, preceded by
-    one untimed warmup call.
-
-    The warmup call eats every first-invocation effect — trace
-    materialization, interpreter cache warming — so the timed windows
-    measure steady-state execution only (asserted in
-    ``tests/test_cli.py``).
-    """
-    fn()
-    walls = []
-    for _ in range(repeats):
-        # Collect the previous run's garbage outside the timed window
-        # (the simulator pauses the GC while cycling); best-of-N
-        # rejects scheduler noise on shared machines.
-        gc.collect()
-        start = time.perf_counter()
-        fn()
-        walls.append(time.perf_counter() - start)
-    return min(walls)
 
 
 def _cmd_list(_: argparse.Namespace) -> int:
@@ -298,164 +211,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    """Time the paper-figure grids through the execution engine.
-
-    Each grid is measured three ways: cold through the worker pool at
-    ``jobs > 1`` (the requested job count, floored at 2 so the bench
-    always exercises parallel dispatch), once more against the
-    now-warm cache, and cold again serially at ``jobs=1`` — so the
-    report's ``serial_wall_s``/``parallel_speedup`` fields capture the
-    parallel scaling trajectory on every run.  The serial pass runs
-    compatible runs through the batched kernel, and its all-runs
-    throughput is reported as ``grid_cycles_per_s`` alongside the
-    per-run ``cycles_per_s`` metrics.  The measurements land in a
-    JSON report (default ``BENCH_parallel.json``).
-
-    Each report is also appended as one JSON line to a history file
-    (default ``BENCH_history.jsonl``) with provenance (see
-    :func:`_provenance`, taken before the bench writes any file) and
-    config, so the performance trajectory survives each overwrite of
-    the snapshot.
-    """
-    provenance = _provenance()
-    benchmarks = (_parse_benchmarks(args.benchmarks)
-                  if args.benchmarks else tuple(BENCHMARK_NAMES))
-    jobs = args.jobs if args.jobs is not None else default_jobs()
-    if jobs < 2:
-        jobs = 2
-    figures = [f.strip() for f in args.figures.split(",") if f.strip()]
-    for figure in figures:
-        if figure not in _EXPERIMENTS:
-            raise SystemExit(f"unknown figure {figure!r}; "
-                             f"choose from {sorted(_EXPERIMENTS)}")
-
-    report: Dict[str, Any] = {
-        "jobs": jobs,
-        "cycles": args.cycles,
-        "benchmarks": list(benchmarks),
-        "grids": [],
-    }
-
-    single_cycles = args.cycles
-    config = SimulationConfig(
-        benchmark=benchmarks[0], variant=FloorplanVariant.ALU,
-        techniques=TechniqueConfig(alus=ALUPolicy.FINE_GRAIN),
-        max_cycles=single_cycles)
-    single_wall = _timed_best_of(lambda: run_simulation(config))
-    report["single_run"] = {
-        "benchmark": benchmarks[0],
-        "cycles": single_cycles,
-        "wall_s": single_wall,
-        "cycles_per_s": single_cycles / single_wall,
-    }
-
-    with tempfile.TemporaryDirectory(prefix="repro-bench-") as tmp:
-        for figure in figures:
-            runner = _EXPERIMENTS[figure]
-            engine = ExperimentEngine(jobs=jobs,
-                                      cache=ResultCache(tmp))
-            start = time.perf_counter()
-            runner(benchmarks=benchmarks, max_cycles=args.cycles,
-                   seed=args.seed, engine=engine)
-            cold_wall = time.perf_counter() - start
-            runs = engine.stats.total
-            total_cycles = runs * args.cycles
-            # Snapshot cold-run accounting before the warm rerun adds
-            # cache hits on top of it.
-            stage_seconds = engine.stats.stage_seconds()
-            restores = engine.stats.checkpoint_restores
-            captures = engine.stats.checkpoint_captures
-
-            start = time.perf_counter()
-            runner(benchmarks=benchmarks, max_cycles=args.cycles,
-                   seed=args.seed, engine=engine)
-            warm_wall = time.perf_counter() - start
-
-            grid: Dict[str, Any] = {
-                "figure": figure,
-                "runs": runs,
-                "jobs": engine.jobs,
-                "total_cycles": total_cycles,
-                "wall_s": cold_wall,
-                "cycles_per_s": total_cycles / cold_wall,
-                "warm_wall_s": warm_wall,
-                "cache_hit_rate": engine.stats.cache_hit_rate,
-                "stage_seconds": stage_seconds,
-                "checkpoint_restores": restores,
-                "checkpoint_captures": captures,
-            }
-            serial = ExperimentEngine(jobs=1, use_cache=False,
-                                      use_checkpoints=False)
-            start = time.perf_counter()
-            runner(benchmarks=benchmarks, max_cycles=args.cycles,
-                   seed=args.seed, engine=serial)
-            serial_wall = time.perf_counter() - start
-            grid["serial_wall_s"] = serial_wall
-            grid["parallel_speedup"] = serial_wall / cold_wall
-            # Grid throughput counts every run in flight: the serial
-            # cold pass executes compatible runs through the batched
-            # kernel (one invocation per warm-state group), so this is
-            # the honest all-runs metric next to the per-run
-            # ``cycles_per_s`` of ``single_run``.
-            grid["grid_cycles_per_s"] = total_cycles / serial_wall
-            grid["batched_runs"] = serial.stats.batched_runs
-            grid["batch_groups"] = serial.stats.batch_groups
-            # Divergence accounting from the batched serial pass.
-            grid["fork_count"] = serial.stats.fork_count
-            grid["batch_class_occupancy"] = {
-                str(size): waves for size, waves in
-                sorted(serial.stats.batch_class_occupancy.items())}
-            report["grids"].append(grid)
-            line = (f"figure {figure}: {runs} runs, "
-                    f"{cold_wall:.2f}s cold "
-                    f"({grid['cycles_per_s']:,.0f} cycles/s), "
-                    f"{warm_wall:.3f}s cached "
-                    f"(hit rate {grid['cache_hit_rate']:.0%}), "
-                    f"{restores} ckpt restore(s)")
-            line += (f", {grid['serial_wall_s']:.2f}s serial "
-                     f"({grid['parallel_speedup']:.2f}x, "
-                     f"{grid['grid_cycles_per_s']:,.0f} grid cycles/s, "
-                     f"{grid['batched_runs']} runs in "
-                     f"{grid['batch_groups']} batch(es), "
-                     f"{grid['fork_count']} fork(s))")
-            print(line)
-            if grid["parallel_speedup"] < 1.0:
-                print(f"WARNING: figure {figure}: pool dispatch at "
-                      f"jobs={jobs} ran SLOWER than batched serial "
-                      f"({grid['parallel_speedup']:.2f}x). Treat "
-                      f"wall_s/cycles_per_s as a regression signal, "
-                      f"not a parallel win.",
-                      file=sys.stderr)
-
-    with open(args.output, "w") as handle:
-        json.dump(report, handle, indent=2)
-        handle.write("\n")
-    print(f"report written to {args.output}")
-    if args.history:
-        entry = {
-            "written_at": time.strftime("%Y-%m-%dT%H:%M:%S",
-                                        time.gmtime()) + "Z",
-            **provenance,
-            "config": {"figures": figures,
-                       "benchmarks": list(benchmarks),
-                       "cycles": args.cycles, "seed": args.seed,
-                       "jobs": jobs},
-            "single_run": report["single_run"],
-            "grids": [{key: grid[key] for key in
-                       ("figure", "runs", "wall_s", "cycles_per_s",
-                        "serial_wall_s", "grid_cycles_per_s",
-                        "parallel_speedup", "batched_runs",
-                        "batch_groups", "fork_count")}
-                      for grid in report["grids"]],
-        }
-        with open(args.history, "a") as handle:
-            json.dump(entry, handle, separators=(",", ":"))
-            handle.write("\n")
-        print(f"history appended to {args.history}")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -502,30 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="worker processes (default: REPRO_JOBS or "
                             "all cores; 1 = inline)")
     fig_p.set_defaults(func=_cmd_figure)
-
-    bench_p = sub.add_parser(
-        "bench", help="time the figure grids through the parallel "
-                      "engine and write a JSON report")
-    bench_p.add_argument("--figures", default="6,7,8",
-                         help="comma-separated figure numbers "
-                              "(default: 6,7,8)")
-    bench_p.add_argument("--benchmarks", default="",
-                         help="comma-separated subset (default: all 22)")
-    bench_p.add_argument("--cycles", type=int, default=100_000)
-    bench_p.add_argument("--seed", type=int, default=1)
-    bench_p.add_argument("--jobs", type=int, default=None,
-                         help="worker processes (default: REPRO_JOBS "
-                              "or all cores; floored at 2 so the bench "
-                              "always exercises parallel dispatch)")
-    bench_p.add_argument("--output", default="BENCH_parallel.json",
-                         help="report path (default: "
-                              "BENCH_parallel.json)")
-    bench_p.add_argument("--history", default="BENCH_history.jsonl",
-                         help="JSONL history file each report is "
-                              "appended to with commit/settings/config "
-                              "provenance; '' disables (default: "
-                              "BENCH_history.jsonl)")
-    bench_p.set_defaults(func=_cmd_bench)
 
     report_p = sub.add_parser(
         "report", help="render the figure grids as a Markdown or HTML "

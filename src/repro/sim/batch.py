@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import json
 from functools import partial
-from time import perf_counter
 from typing import Dict, List, Optional, Sequence
 
 from ..analysis.sanitize import sanitize_enabled
@@ -143,33 +142,20 @@ def run_group(configs: Sequence[SimulationConfig],
         runs.append(BatchRun(sim.processor, i,
                              reads_pipeline=_reads_pipeline(sim.config)))
         sim._measure_started = True
-        sim._sample_s = 0.0
 
-    start = perf_counter()
     with _gc_paused():
         run_batch(runs, store, configs[0].max_cycles,
                   configs[0].thermal.sensor_interval_cycles,
                   partial(_sample_boundary, sims), stats=stats)
-    wall_s = perf_counter() - start
-
-    # Per-run stage attribution: the measure wall clock is shared by
-    # the group, so each run is charged an even share — the sum
-    # across them equals the real elapsed time (the per-run split is
-    # bookkeeping, never part of the result payload).
-    sample_total_s = sum(sim._sample_s for sim in sims)
-    measure_share_s = (wall_s - sample_total_s) / len(sims)
     outcomes: List[WorkerOutcome] = []
     for i, sim in enumerate(sims):
-        sim.stage_times["sample_s"] = sim._sample_s
-        sim.stage_times["measure_s"] = measure_share_s
         outcomes.append(WorkerOutcome(
             sim._collect(),
             sanitized=sim.sanitizer is not None,
             sanitizer_checks=(0 if sim.sanitizer is None
                               else sim.sanitizer.stats.total_checks),
             checkpoint_restored=restored if i == 0 else True,
-            checkpoint_captured=captured if i == 0 else False,
-            stage_times=dict(sim.stage_times)))
+            checkpoint_captured=captured if i == 0 else False))
     return outcomes
 
 
@@ -204,7 +190,6 @@ def _sample_boundary(sims: Sequence[Simulator],
     thermal model, and DTM, so per-run state (and therefore results)
     is untouched by the batching.
     """
-    start = perf_counter()
     members = [sims[run.index] for run in class_runs]
     first = members[0]
     snapshots = [run.proc.activity_snapshot() for run in class_runs]
@@ -216,6 +201,3 @@ def _sample_boundary(sims: Sequence[Simulator],
         powers, first._interval_s)
     for member, run in zip(members, class_runs):
         member.dtm.on_sample(run.proc)
-    share_s = (perf_counter() - start) / len(members)
-    for member in members:
-        member._sample_s += share_s

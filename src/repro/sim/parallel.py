@@ -3,7 +3,7 @@
 Paper-figure grids are dozens of independent ``SimulationConfig`` runs
 (one benchmark x technique x floorplan each).  This module fans them
 over a :class:`~concurrent.futures.ProcessPoolExecutor` and memoizes
-completed runs in a content-addressed cache, so re-running a bench
+completed runs in a content-addressed cache, so re-running a figure
 grid after an unrelated edit costs near nothing:
 
 * **worker count** comes from ``REPRO_JOBS`` (default
@@ -168,8 +168,6 @@ class WorkerOutcome:
     #: Whether this run restored from / captured a warm checkpoint.
     checkpoint_restored: bool = False
     checkpoint_captured: bool = False
-    #: Wall-clock seconds per stage (see ``Simulator.stage_times``).
-    stage_times: Optional[Dict[str, float]] = None
 
 
 @dataclass(frozen=True)
@@ -234,8 +232,7 @@ def _execute_config(config: SimulationConfig,
         sanitizer_checks=(0 if sanitizer is None
                           else sanitizer.stats.total_checks),
         checkpoint_restored=restored,
-        checkpoint_captured=captured,
-        stage_times=dict(simulator.stage_times))
+        checkpoint_captured=captured)
 
 
 # ---------------------------------------------------------------------------
@@ -285,12 +282,6 @@ class EngineStats:
     #: checkpoint vs. runs that captured a fresh one.
     checkpoint_restores: int = 0
     checkpoint_captures: int = 0
-    #: Aggregate per-stage wall-clock seconds across executed runs
-    #: (CPU time across workers, not elapsed time, when parallel).
-    warmup_s: float = 0.0
-    restore_s: float = 0.0
-    measure_s: float = 0.0
-    sample_s: float = 0.0
     #: Fleet-level aggregation of every returned result's serialized
     #: metrics (fresh, parallel, *and* cache-hit runs), merged with
     #: per-kind semantics — see :class:`repro.obs.metrics.
@@ -301,11 +292,6 @@ class EngineStats:
     @property
     def cache_hit_rate(self) -> float:
         return self.cache_hits / self.total if self.total else 0.0
-
-    def stage_seconds(self) -> Dict[str, float]:
-        """The per-stage breakdown as a plain dict (report-friendly)."""
-        return {"warmup_s": self.warmup_s, "restore_s": self.restore_s,
-                "measure_s": self.measure_s, "sample_s": self.sample_s}
 
 
 Runner = Callable[[SimulationConfig], WorkerOutcome]
@@ -480,12 +466,6 @@ class ExperimentEngine:
             self.stats.checkpoint_restores += 1
         if outcome.checkpoint_captured:
             self.stats.checkpoint_captures += 1
-        if outcome.stage_times:
-            times = outcome.stage_times
-            self.stats.warmup_s += times.get("warmup_s", 0.0)
-            self.stats.restore_s += times.get("restore_s", 0.0)
-            self.stats.measure_s += times.get("measure_s", 0.0)
-            self.stats.sample_s += times.get("sample_s", 0.0)
 
     def _collect(self, task: Task,
                  outcome: Union[WorkerOutcome, GroupOutcome],

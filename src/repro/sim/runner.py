@@ -153,7 +153,9 @@ class Simulator:
         self._interval_s = (config.thermal.sensor_interval_cycles
                             * config.thermal.cycle_time_s)
         #: Wall-clock seconds per stage (``warmup_s`` or ``restore_s``,
-        #: ``measure_s``, ``sample_s``), filled in as stages run.
+        #: ``measure_s``, ``sample_s``), filled in as stages run; a run
+        #: measured inside a batch group records only its warm-up or
+        #: restore.  ``repro profile`` prints them.
         self.stage_times: Dict[str, float] = {}
         self._sample_s = 0.0
         self._warm_done = False

@@ -462,14 +462,18 @@ class TestDivergence:
 
 
 class TestFaultAfterFork:
-    """A fault raised inside a group after one of its runs forked fails
-    the submission cleanly, inline and in a pool worker: nothing
-    partial is cached, every checkpoint left reads back, and a rerun
-    equals per-run execution."""
+    """A fault raised inside a group after one of its runs forked, an
+    error or an interrupt, fails the submission cleanly, inline and in
+    a pool worker: nothing partial is cached, every checkpoint left
+    reads back, and a rerun equals per-run execution."""
 
-    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize(
+        "jobs, fault",
+        [(1, RuntimeError), (2, RuntimeError),
+         (1, KeyboardInterrupt), (2, KeyboardInterrupt)],
+        ids=["1", "2", "interrupt-1", "interrupt-2"])
     def test_fault_leaves_no_partial_entry(self, monkeypatch, tmp_path,
-                                           jobs):
+                                           jobs, fault):
         for env in ("REPRO_BATCH", "REPRO_KERNEL", "REPRO_CACHE",
                     "REPRO_CHECKPOINTS"):
             monkeypatch.setenv(env, "1")
@@ -485,12 +489,12 @@ class TestFaultAfterFork:
             # Run 1 leads a class of its own only once it has forked.
             run = class_runs[0]
             if run.index == 1 and run.proc.now == 2_000:
-                raise RuntimeError("injected boundary fault")
+                raise fault("injected boundary fault")
             scheduled(sims, class_runs)
 
         monkeypatch.setattr(batch_mod, "_sample_boundary", faulty)
         faulted = ExperimentEngine(jobs=jobs)
-        with pytest.raises(RuntimeError, match="injected boundary fault"):
+        with pytest.raises(fault, match="injected boundary fault"):
             faulted.run_many(configs)
         # At jobs=2 the solo run finished in the pool beside the group.
         assert faulted.stats.parallel_runs == (1 if jobs == 2 else 0)
@@ -603,6 +607,48 @@ class TestParallelGroups:
                     + stats.inline_runs == stats.total)
             assert (stats.merge_count == stats.offloaded_runs
                     == stats.pool_fallbacks == 0)
+
+
+class TestWorkCounts:
+    """The simulated work of a figure grid, pinned exactly.  Work is
+    deterministic per seed, so these counts catch on any host what a
+    wall-clock floor could only guess at: the kernel disabled (warm-ups
+    and solo runs step through the reference loop), batching lost
+    (every run steps its own cycles) or checkpoint restores lost
+    (every run warms up).  Host-speed regressions are left to the
+    repo benchmark (``perf/``)."""
+
+    # (kernel chunks, cycles they stepped, checkpoint captures,
+    # restores).  The cold pass warms up 6 checkpoint cells; the warm
+    # pass restores all 18 runs and steps measured cycles only.
+    COLD = (133, 37_750, 6, 12)
+    WARM = (127, 31_750, 0, 18)
+
+    def test_figure_grid_cold_then_warm(self, monkeypatch, tmp_path):
+        for env in ("REPRO_BATCH", "REPRO_KERNEL", "REPRO_CHECKPOINTS"):
+            monkeypatch.setenv(env, "1")
+        stepped = []  # cycles each kernel chunk ran
+        run_chunk = kernel_mod._run_chunk
+
+        def spy(proc, n_cycles):
+            ran, finished = run_chunk(proc, n_cycles)
+            stepped.append(ran)
+            return ran, finished
+
+        monkeypatch.setattr(kernel_mod, "_run_chunk", spy)
+        configs = figure_grid()
+        for expected in (self.COLD, self.WARM):
+            stepped.clear()
+            engine = ExperimentEngine(jobs=1, use_cache=False,
+                                      checkpoints=tmp_path)
+            results = engine.run_many(configs)
+            stats = engine.stats
+            assert (len(stepped), sum(stepped), stats.checkpoint_captures,
+                    stats.checkpoint_restores) == expected
+            assert (stats.batch_groups, stats.batched_runs,
+                    stats.fork_count) == (8, 16, 3)
+            assert stats.batch_class_occupancy == {1: 45, 2: 27}
+            assert sum(r.cycles for r in results) == 45_000
 
 
 class TestThroughput:

@@ -342,14 +342,6 @@ class TestEngineIntegration:
                                   runner=_execute_config)
         assert engine.checkpoints is None
 
-    def test_stats_record_stage_times(self, tmp_path):
-        engine = ExperimentEngine(jobs=1, use_cache=False,
-                                  checkpoints=tmp_path)
-        engine.run_many([small_config()])
-        stages = engine.stats.stage_seconds()
-        assert stages["warmup_s"] > 0
-        assert stages["measure_s"] > 0
-
 
 class TestCheckpointWaves:
     """Pool waves at jobs > 1: a task waits for the second wave only

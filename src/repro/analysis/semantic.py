@@ -22,9 +22,9 @@ REP102
 REP103
     SoA view discipline.  The SoA backing arrays (``UnitBank.ops`` /
     ``busy_cycles`` / ``turnoff_events``, the issue-queue ``_c``
-    counter block, regfile ``_reads``/``_writes``) are mutated only
-    inside ``repro/pipeline/``, where the write-through views and the
-    kernel flush live.  Everything else reads through views.
+    counter block, regfile ``_port_reads``/``_writes``) are mutated
+    only inside ``repro/pipeline/``, where the write-through views and
+    the kernel flush live.  Everything else reads through views.
 
 REP104
     Kernel/reference counter parity.  Every SoA counter the
@@ -267,7 +267,7 @@ class MacroStepContractRule(DeepRule):
 
 #: Attribute names of SoA counter backing arrays.
 _COUNTER_ATTRS = frozenset({"ops", "busy_cycles", "turnoff_events",
-                            "_c", "_reads", "_writes"})
+                            "_c", "_port_reads", "_writes"})
 
 
 def _alias_maps(index: ProjectIndex) -> Dict[Tuple[str, str], str]:
@@ -380,11 +380,11 @@ class SoaViewDisciplineRule(DeepRule):
 
     ``UnitBank.ops``/``busy_cycles``/``turnoff_events``, the
     issue-queue ``_c`` counter block and the regfile
-    ``_reads``/``_writes`` arrays are implementation storage; outside
-    the pipeline package (where the write-through views and the kernel
-    flush live) they are read-only.  Mutation from observability,
-    power accounting or experiment code must go through the public
-    counter views.
+    ``_port_reads``/``_writes`` arrays are implementation storage;
+    outside the pipeline package (where the write-through views and
+    the kernel flush live) they are read-only.  Mutation from
+    observability, power accounting or experiment code must go through
+    the public counter views.
     """
 
     rule_id = "REP103"

@@ -68,6 +68,21 @@ class PortMapping:
         return [alu for alu, alu_ports in enumerate(self.ports)
                 if copy in alu_ports]
 
+    def copy_reads(self, port_reads: Sequence[int]) -> List[int]:
+        """Fold per-read-port counts into per-copy totals.
+
+        ``port_reads[2 * alu + port]`` counts the reads through read
+        port ``port`` of ALU ``alu``; each lands on the copy that port
+        is wired to.  The register file counts reads per port, so
+        everything upstream of this fold is the same for every
+        mapping.
+        """
+        totals = [0] * self.n_copies
+        for alu, alu_ports in enumerate(self.ports):
+            for port, copy in enumerate(alu_ports):
+                totals[copy] += port_reads[2 * alu + port]
+        return totals
+
     def read_ports_per_copy(self) -> List[int]:
         """Number of read ports wired to each copy."""
         counts = [0] * self.n_copies

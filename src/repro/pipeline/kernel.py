@@ -235,9 +235,8 @@ def _run_chunk(proc: "Processor", n_cycles: int) -> Tuple[int, bool]:
 
     regfile = proc.regfile
     off_set = regfile._off
-    blocked_set = regfile.blocked_alus()
-    int_busy_static = [u.busy or i in blocked_set
-                       for i, u in enumerate(int_alus)]
+    # An ALU a turned-off register-file copy blocks is busy.
+    int_busy_static = [u.busy for u in int_alus]
     mapping = proc.mapping
     copies_for = [mapping.copies_for(i) for i in range(n_int)]
     # Per ALU, the first read port wired to a turned-off copy (2 when
@@ -249,7 +248,7 @@ def _run_chunk(proc: "Processor", n_cycles: int) -> Tuple[int, bool]:
             port += 1
         first_off.append(port)
     # Per ALU, ops issued with 0, 1 and 2 register operands: the
-    # flush turns them into per-copy reads through the port wiring.
+    # flush turns them into per-port reads.
     operand_tally = [[0, 0, 0] for _ in range(n_int)]
     rf_write_events = 0
     fp_acc = proc.fp_reg_accesses
@@ -937,16 +936,13 @@ def _run_chunk(proc: "Processor", n_cycles: int) -> Tuple[int, bool]:
         fp_sel._rr_offset = fp_rr_off
         mul_sel.counters.cycles = msc_cycles
         mul_sel.counters.requests_seen = msc_req
-        # An op reads its operands through the ALU's ports in order
-        # (``PortMapping`` wires exactly two).
-        rf_read_acc = [0] * regfile.n_copies
-        for t in range(n_int):
-            _, one, two = operand_tally[t]
-            first, second = copies_for[t]
-            rf_read_acc[first] += one + two
-            rf_read_acc[second] += two
+        # An op reads its operands through the ALU's two ports in
+        # order: one operand fires port 0, two fire both.
+        rf_read_acc: List[int] = []
+        for _, one, two in operand_tally:
+            rf_read_acc += (one + two, two)
         if any(rf_read_acc):
-            regfile._reads += rf_read_acc
+            regfile._port_reads += rf_read_acc
         if rf_write_events:
             regfile._writes += rf_write_events
         for j in range(n_units):

@@ -72,7 +72,9 @@ class ActivitySnapshot:
     alu_ops: List[int]
     fp_add_ops: List[int]
     fp_mul_ops: int
-    rf_reads: List[int]
+    #: Register-file reads per ALU read port (``2 * alu + port``); the
+    #: power accountant folds them into copies through the mapping.
+    rf_port_reads: List[int]
     rf_writes: List[int]
     fp_reg_accesses: int
     l1d_accesses: int
@@ -130,6 +132,11 @@ class Processor:
                                            round_robin=round_robin_alus)
         self.fp_mul_select = SelectNetwork(cfg.fp_queue_entries, 1)
         self.regfile = RegisterFileBank(self.mapping)
+        #: Integer ALUs the ALU fine-grain controller holds off.  The
+        #: register file is the busy flag's other owner (it blocks the
+        #: ALUs wired to a turned-off copy); an ALU is busy while
+        #: either owner holds it.
+        self._alu_held = [False] * cfg.num_int_alus
         self._all_units = [*self.int_alus, *self.fp_adders, self.fp_mul]
         # Shared SoA counter banks (repro.pipeline.soa.UnitBank): one
         # per functional-unit class, built by the alu.py factories.
@@ -182,8 +189,11 @@ class Processor:
         return self.now < self.throttled_until
 
     def set_alu_busy(self, index: int, value: bool) -> None:
-        """Fine-grain turnoff flag for integer ALU ``index``."""
-        self.int_alus[index].set_busy(value)
+        """Fine-grain turnoff hold on integer ALU ``index``.  Releasing
+        it leaves the ALU busy while a turned-off register-file copy
+        still blocks it."""
+        self._alu_held[index] = value
+        self._refresh_alu_busy(index)
 
     def set_fp_adder_busy(self, index: int, value: bool) -> None:
         self.fp_adders[index].set_busy(value)
@@ -195,14 +205,18 @@ class Processor:
 
     def turn_off_regfile_copy(self, copy: int) -> None:
         for alu in self.regfile.turn_off(copy):
-            self.int_alus[alu].set_busy(True)
+            self._refresh_alu_busy(alu)
 
     def turn_on_regfile_copy(self, copy: int) -> None:
-        self.regfile.turn_on(copy)
-        blocked = self.regfile.blocked_alus()
-        for alu in self.mapping.alus_on_copy(copy):
-            if alu not in blocked:
-                self.int_alus[alu].set_busy(False)
+        """Re-enable ``copy``; each of its ALUs stays busy while
+        another off copy blocks it or the ALU controller holds it."""
+        for alu in self.regfile.turn_on(copy):
+            self._refresh_alu_busy(alu)
+
+    def _refresh_alu_busy(self, index: int) -> None:
+        self.int_alus[index].set_busy(
+            self._alu_held[index]
+            or index in self.regfile.blocked_alus())
 
     # ------------------------------------------------------------------
     # main loop
@@ -327,15 +341,11 @@ class Processor:
 
     def _issue_int(self, budget: int) -> int:  # repro: hot-loop
         now = self.now
-        blocked = self.regfile.blocked_alus()
         # The reference loop keeps the readable per-cycle form; the
         # macro-step kernel hoists this state (repro.pipeline.kernel).
-        if blocked:
-            busy = [alu.busy or i in blocked or now < alu._blocked_until  # repro: noqa[REP007]
-                    for i, alu in enumerate(self.int_alus)]
-        else:
-            busy = [alu.busy or now < alu._blocked_until  # repro: noqa[REP007]
-                    for alu in self.int_alus]
+        # An ALU a turned-off register-file copy blocks is busy.
+        busy = [alu.busy or now < alu._blocked_until  # repro: noqa[REP007]
+                for alu in self.int_alus]
         # No ``eligible`` filter: dispatch routes every FP op to the FP
         # queue, so each int-queue entry is INT_OPCLASSES by
         # construction and the per-slot predicate would always pass.
@@ -447,6 +457,7 @@ class Processor:
             "stalled_until": self.stalled_until,
             "throttled_until": self.throttled_until,
             "fp_reg_accesses": self.fp_reg_accesses,
+            "alu_held": self._alu_held,
             "fetch": self.fetch.snapshot_state(),
             "rename": self.rename.snapshot_state(),
             "rob": self.rob.snapshot_state(),
@@ -475,6 +486,7 @@ class Processor:
         self.stalled_until = state["stalled_until"]
         self.throttled_until = state["throttled_until"]
         self.fp_reg_accesses = state["fp_reg_accesses"]
+        self._alu_held = list(state["alu_held"])
         self.fetch.restore_state(state["fetch"])
         self.rename.restore_state(state["rename"])
         self.rob.restore_state(state["rob"])
@@ -525,7 +537,7 @@ class Processor:
         self.int_iq.adopt_counter_storage(store.view(run, "int_iq"))
         self.fp_iq.adopt_counter_storage(store.view(run, "fp_iq"))
         self.regfile.adopt_counter_storage(
-            store.view(run, "rf_reads"), store.view(run, "rf_writes"))
+            store.view(run, "rf_port_reads"), store.view(run, "rf_writes"))
 
     def capture_gating(self) -> Tuple[Any, ...]:
         """The DTM-controlled gating state, as a comparable tuple.
@@ -533,11 +545,16 @@ class Processor:
         Two runs of one batch class whose gating tuples match after an
         ``on_sample`` boundary keep executing identically (the
         macro-step contract: DTM mutates only this state, and only at
-        boundaries); a mismatch is the moment of divergence.
+        boundaries); a mismatch is the moment of divergence.  Both
+        owners of the integer ALUs' busy flags are in it (the ALU
+        controller's holds and the turned-off copies), and a blocked
+        ALU is busy, so equal busy flags mean equal issue under any
+        port mapping.
         """
         return (self.stalled_until, self.throttled_until,
                 self.int_iq.mode, self.fp_iq.mode,
                 tuple(unit.busy for unit in self._all_units),
+                tuple(self._alu_held),
                 frozenset(self.regfile._off))
 
     def apply_gating(self, gating: Tuple[Any, ...]) -> None:
@@ -551,7 +568,7 @@ class Processor:
         shared busy tally and register-file block set are recomputed.
         """
         (self.stalled_until, self.throttled_until,
-         int_mode, fp_mode, busy_flags, off_copies) = gating
+         int_mode, fp_mode, busy_flags, alu_held, off_copies) = gating
         for queue, mode in ((self.int_iq, int_mode), (self.fp_iq, fp_mode)):
             if queue.mode is not mode:
                 queue.mode = mode
@@ -560,6 +577,7 @@ class Processor:
             unit.busy = flag
         self._busy_count[0] = sum(
             1 for unit in self._all_units if unit.busy)
+        self._alu_held = list(alu_held)
         regfile = self.regfile
         regfile._off = set(off_copies)
         regfile._recompute_blocked()
@@ -577,7 +595,7 @@ class Processor:
             alu_ops=self._int_bank.ops.tolist(),
             fp_add_ops=self._fp_add_bank.ops.tolist(),
             fp_mul_ops=int(self._fp_mul_bank.ops[0]),
-            rf_reads=self.regfile.counters.reads,
+            rf_port_reads=self.regfile.counters.port_reads,
             rf_writes=self.regfile.counters.writes,
             fp_reg_accesses=self.fp_reg_accesses,
             l1d_accesses=self.memory.l1d.stats.accesses,

@@ -8,11 +8,14 @@ Two structures live here:
   paper studies.  Each copy is its own thermal block; reads route
   through the hard-wired :class:`~repro.core.mapping.PortMapping`
   while writes go to **all** copies (values must be coherent across
-  copies, paper §2.3).  Fine-grain turnoff disables reads from a hot
-  copy by marking its mapped ALUs busy; writes continue during cooling
-  (the paper's first stale-copy solution: the turnoff threshold sits
-  slightly below the critical threshold, and a cooling copy seeing only
-  writes receives about a third of its normal accesses).
+  copies, paper §2.3).  Reads are counted per ALU read port and only
+  folded into per-copy totals where they become energy or metrics, so
+  the counters a run accumulates do not depend on the mapping.
+  Fine-grain turnoff disables reads from a hot copy by marking its
+  mapped ALUs busy; writes continue during cooling (the paper's first
+  stale-copy solution: the turnoff threshold sits slightly below the
+  critical threshold, and a cooling copy seeing only writes receives
+  about a third of its normal accesses).
 """
 
 from __future__ import annotations
@@ -131,17 +134,26 @@ class RenameTable:
 class RegFileCounters:
     """Cumulative accesses per register-file copy: a read view over the
     bank's SoA arrays (``reads``/``writes`` come back as plain lists,
-    so existing ``counters.reads == [2, 2]`` comparisons still hold)."""
+    so existing ``counters.reads == [2, 2]`` comparisons still hold).
+    Reads are stored per ALU read port; ``reads`` folds them into
+    copies through the bank's port mapping."""
 
-    __slots__ = ("_reads", "_writes")
+    __slots__ = ("_port_reads", "_writes", "_mapping")
 
-    def __init__(self, reads: Any, writes: Any) -> None:
-        self._reads = reads
+    def __init__(self, port_reads: Any, writes: Any,
+                 mapping: PortMapping) -> None:
+        self._port_reads = port_reads
         self._writes = writes
+        self._mapping = mapping
+
+    @property
+    def port_reads(self) -> List[int]:
+        """Reads per ALU read port (index ``2 * alu + port``)."""
+        return self._port_reads.tolist()
 
     @property
     def reads(self) -> List[int]:
-        return self._reads.tolist()
+        return self._mapping.copy_reads(self._port_reads.tolist())
 
     @property
     def writes(self) -> List[int]:
@@ -157,27 +169,30 @@ class RegisterFileBank:
     def __init__(self, mapping: PortMapping) -> None:
         self.mapping = mapping
         self.n_copies = mapping.n_copies
-        #: SoA access counters, indexed by copy.
-        self._reads = np.zeros(self.n_copies, dtype=np.int64)
+        #: SoA access counters: reads indexed by ALU read port
+        #: (``2 * alu + port``), writes by copy.
+        self._port_reads = np.zeros(2 * mapping.n_alus, dtype=np.int64)
         self._writes = np.zeros(self.n_copies, dtype=np.int64)
-        self.counters = RegFileCounters(self._reads, self._writes)
+        self.counters = RegFileCounters(self._port_reads, self._writes,
+                                        mapping)
         self._off: Set[int] = set()
         #: Cached union of the mapped ALUs of every turned-off copy,
         #: maintained by turn_off/turn_on — issue reads it every cycle.
         self._blocked: Set[int] = set()
 
-    def adopt_counter_storage(self, reads: Any, writes: Any) -> None:
-        """Rebind the access counters to externally-owned per-copy
-        arrays (:class:`~repro.pipeline.soa.RunAxisStore` segments),
-        carrying the current values over."""
-        for new, old in ((reads, self._reads), (writes, self._writes)):
+    def adopt_counter_storage(self, port_reads: Any, writes: Any) -> None:
+        """Rebind the access counters to externally-owned per-port and
+        per-copy arrays (:class:`~repro.pipeline.soa.RunAxisStore`
+        segments), carrying the current values over."""
+        for new, old in ((port_reads, self._port_reads),
+                         (writes, self._writes)):
             if new.shape != old.shape or new.dtype != old.dtype:
                 raise ValueError("counter storage shape/dtype mismatch")
-        reads[:] = self._reads
+        port_reads[:] = self._port_reads
         writes[:] = self._writes
-        self._reads = reads
+        self._port_reads = port_reads
         self._writes = writes
-        self.counters = RegFileCounters(reads, writes)
+        self.counters = RegFileCounters(port_reads, writes, self.mapping)
 
     # ------------------------------------------------------------------
     # access accounting
@@ -197,7 +212,7 @@ class RegisterFileBank:
                 raise RuntimeError(
                     f"read from turned-off register-file copy {copy}; "
                     f"ALU {alu} should have been marked busy")
-            self._reads[copy] += 1
+            self._port_reads[2 * alu + port] += 1
 
     def write(self) -> None:
         """Charge one register write to every copy (values are
@@ -246,13 +261,16 @@ class RegisterFileBank:
     # warm-state checkpointing (repro.sim.checkpoint)
     # ------------------------------------------------------------------
     def snapshot_state(self) -> Dict[str, Any]:
-        return {"counters": {"reads": self.counters.reads,
+        """Counters and turned-off copies: nothing that depends on the
+        port mapping (the blocked ALUs are derived on restore), so a
+        warm state restores into a run of any mapping."""
+        return {"counters": {"port_reads": self.counters.port_reads,
                              "writes": self.counters.writes},
-                "off": self._off, "blocked": self._blocked}
+                "off": self._off}
 
     def restore_state(self, state: Dict[str, Any]) -> None:
         values = state["counters"]
-        self._reads[:] = values["reads"]
+        self._port_reads[:] = values["port_reads"]
         self._writes[:] = values["writes"]
         self._off = set(state["off"])
-        self._blocked = set(state["blocked"])
+        self._recompute_blocked()

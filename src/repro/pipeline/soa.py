@@ -24,8 +24,11 @@ Layout
 * Issue-queue counters — one 15-element array per queue; the ``IQC_*``
   constants below name the slots.  Per-half counters occupy two
   adjacent slots (index 0 = lower physical half).
-* Register-file counters — one reads array and one writes array per
-  bank, indexed by copy.
+* Register-file counters — one reads array per bank, indexed by ALU
+  read port (two per integer ALU), and one writes array, indexed by
+  copy.  Reads are folded into copies through the port mapping only
+  where they become energy or metrics, so these arrays hold the same
+  values under every mapping.
 * :class:`RunAxisStore` — the batched-grid extension: one
   ``[n_runs, n_counters]`` matrix holding every counter of every run
   in a batch, with named column segments.  A single run's banks,
@@ -108,7 +111,8 @@ class RunAxisStore:
 
     Column segments (in layout order): the three :class:`UnitBank`
     triples (integer ALUs, FP adders, FP multiplier), the two 15-slot
-    issue-queue counter rows, and the register-file read/write arrays.
+    issue-queue counter rows, the register-file reads (one column per
+    ALU read port) and writes (one per copy).
     ``view(run, name)`` returns the writable row segment a component
     adopts; ``row(run)`` returns the whole row, which is how the
     batched kernel broadcasts one run's execution delta to every run
@@ -137,7 +141,7 @@ class RunAxisStore:
                 ("fp_mul_turnoff_events", 1),
                 ("int_iq", IQC_NFIELDS),
                 ("fp_iq", IQC_NFIELDS),
-                ("rf_reads", n_rf_copies),
+                ("rf_port_reads", 2 * n_int_alus),
                 ("rf_writes", n_rf_copies)):
             segments[name] = (col, col + width)
             col += width

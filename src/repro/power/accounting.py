@@ -18,6 +18,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from ..core.mapping import PortMapping
 from ..pipeline.processor import ActivitySnapshot
 from ..thermal.floorplan import (FP_ADD_BLOCKS, INT_ALU_BLOCKS,
                                  INT_REG_BLOCKS, Floorplan)
@@ -57,12 +58,19 @@ def _iq_half_energies(prev, cur, energies) -> List[float]:
 
 
 class PowerAccountant:
-    """Turns activity deltas into per-block power for the thermal model."""
+    """Turns activity deltas into per-block power for the thermal model.
+
+    ``mapping`` is the run's register-file port mapping: snapshots
+    count register reads per ALU read port, and the accountant charges
+    each port's reads to the copy it is wired to.
+    """
 
     def __init__(self, floorplan: Floorplan,
-                 energy_model: Optional[EnergyModel] = None) -> None:
+                 energy_model: Optional[EnergyModel] = None, *,
+                 mapping: PortMapping) -> None:
         self.floorplan = floorplan
         self.energy = energy_model or EnergyModel()
+        self.mapping = mapping
         self._last: Optional[ActivitySnapshot] = None
         # Two independently-accumulated energy totals: the scalar path
         # sums every event energy plus leakage as it is computed; the
@@ -186,8 +194,10 @@ class PowerAccountant:
         if misc["FPMul"] >= 0:
             nj[misc["FPMul"]] = value
 
+        rf_reads = self.mapping.copy_reads(
+            [c - p for c, p in zip(cur.rf_port_reads, prev.rf_port_reads)])
         for j, i in enumerate(self._rf_idx):
-            reads = cur.rf_reads[j] - prev.rf_reads[j]
+            reads = rf_reads[j]
             writes = cur.rf_writes[j] - prev.rf_writes[j]
             value = reads * e.rf_read + writes * e.rf_write
             sum_nj += value

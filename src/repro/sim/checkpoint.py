@@ -18,13 +18,20 @@ pickled into a content-addressed entry keyed by everything the warm-up
 * :class:`~repro.pipeline.config.ProcessorConfig` and
   :class:`~repro.power.energy.EnergyModel`,
 * ``warmup_cycles``,
-* the *warm-relevant* technique fields — the round-robin ALU policy
-  (it rotates select priority during warm-up) and the register-file
-  mapping kind (it changes per-copy read attribution) — but **not**
-  the rest of :class:`~repro.core.policies.TechniqueConfig`, the
-  floorplan variant, thermal constants, ``max_cycles``, or the
-  sanitize flag, none of which influence warm state,
+* the one *warm-relevant* technique field, the round-robin ALU policy
+  (it rotates select priority during warm-up) — but **not** the rest
+  of :class:`~repro.core.policies.TechniqueConfig`, the floorplan
+  variant, thermal constants, ``max_cycles``, or the sanitize flag,
+  none of which influence warm state,
 * a fingerprint of the ``repro`` source tree.
+
+The register-file port mapping is not in the key either.  It decides
+only which copy each ALU read port drains, and nothing in the warm
+state depends on it: the register file counts reads per port, and the
+port-to-copy fold happens where reads become energy (the restoring
+run's :class:`~repro.power.accounting.PowerAccountant` replays the
+warm-up power through its own mapping) or metrics.  The three mapping
+kinds therefore capture byte-identical blobs and share one checkpoint.
 
 Technique variants that share a key fork from one stored checkpoint
 instead of each re-running warm-up; restored runs are bit-identical to
@@ -39,10 +46,12 @@ import enum
 import hashlib
 import json
 import os
+import signal
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Mapping, Optional, Union
+from typing import TYPE_CHECKING, Any, Iterator, Mapping, Optional, Union
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (runner
     from .runner import SimulationConfig  # imports this module)
@@ -50,7 +59,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (runner
 #: Format version embedded in every checkpoint payload; bumped whenever
 #: the snapshot layout changes so stale entries are rejected, not
 #: misinterpreted.
-CHECKPOINT_VERSION = 2  # v2: SoA counters snapshot as plain values
+CHECKPOINT_VERSION = 3  # v3: register-file reads per ALU read port
 
 
 class CheckpointError(RuntimeError):
@@ -118,10 +127,11 @@ def checkpoint_key(config: "SimulationConfig",
     ``trace_events`` flags, and every technique field that only acts
     on sensor samples — so all technique variants of one (benchmark,
     seed, processor, energy, warmup) cell share a single checkpoint
-    (and traced runs reuse untraced warm state).  The two technique fields that *do*
-    shape warm state are included: round-robin ALU selection (rotates
-    grant priority from cycle 0) and the register-file mapping kind
-    (changes per-copy read attribution in the activity snapshot).
+    (and traced runs reuse untraced warm state).  The one technique
+    field that *does* shape warm state is included: round-robin ALU
+    selection (rotates grant priority from cycle 0).  The register-file
+    mapping kind is not: reads are counted per ALU read port, so the
+    warm state is the same for every mapping.
     """
     payload = {
         "kind": "warm-checkpoint",
@@ -133,7 +143,6 @@ def checkpoint_key(config: "SimulationConfig",
         "energy": _stable(config.energy),
         "warm_techniques": {
             "round_robin_alus": config.techniques.round_robin_alus,
-            "regfile_mapping": _stable(config.techniques.regfile.mapping),
         },
         "code": code_fingerprint() if fingerprint is None else fingerprint,
     }
@@ -200,22 +209,40 @@ def read_entry(path: Path) -> Optional[bytes]:
     return payload
 
 
+@contextmanager
+def _sigterm_deferred() -> Iterator[None]:
+    """Hold ``SIGTERM`` off this thread until the block exits (where
+    the platform can); a pending one then ends the process."""
+    if not hasattr(signal, "pthread_sigmask"):
+        yield
+        return
+    previous = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGTERM})
+    try:
+        yield
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, previous)
+
+
 def write_entry(path: Path, payload: bytes) -> None:
     """Store ``payload`` at ``path`` behind its SHA-256 digest.
 
     Writes go through a temp file and :func:`os.replace`, so a
     concurrent reader never sees a torn entry; a failed write is
-    skipped.
+    skipped.  ``SIGTERM`` waits until the write is done: a process
+    pool terminates its other workers when one dies, and a worker
+    caught between the temp write and the replace would leave the
+    temp file behind.
     """
     tmp = path.with_name(f"{path.name}.tmp{os.getpid()}")
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(tmp, "wb") as handle:
-            handle.write(hashlib.sha256(payload).digest())
-            handle.write(payload)
-        os.replace(tmp, path)
-    except OSError:
-        tmp.unlink(missing_ok=True)
+    with _sigterm_deferred():
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            with open(tmp, "wb") as handle:
+                handle.write(hashlib.sha256(payload).digest())
+                handle.write(payload)
+            os.replace(tmp, path)
+        except OSError:
+            tmp.unlink(missing_ok=True)
 
 
 def store_info(root: Path) -> CacheInfo:

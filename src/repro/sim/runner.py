@@ -124,10 +124,11 @@ class Simulator:
             self.floorplan,
             ambient_k=config.thermal.ambient_k,
             acceleration=config.thermal.acceleration)
-        self.accountant = PowerAccountant(self.floorplan, config.energy)
         mapping = make_mapping(config.techniques.regfile.mapping,
                                config.processor.num_int_alus,
                                config.processor.num_regfile_copies)
+        self.accountant = PowerAccountant(self.floorplan, config.energy,
+                                          mapping=mapping)
         self.processor = Processor(
             trace if trace is not None
             else replay_trace(config.benchmark, config.seed),
@@ -405,9 +406,9 @@ class Simulator:
         rf_reads = registry.vector("regfile.reads")
         rf_writes = registry.vector("regfile.writes")
         rf = processor.regfile.counters
-        for copy in range(len(rf.reads)):
-            rf_reads.add(copy, rf.reads[copy])
-            rf_writes.add(copy, rf.writes[copy])
+        for copy, (reads, writes) in enumerate(zip(rf.reads, rf.writes)):
+            rf_reads.add(copy, reads)
+            rf_writes.add(copy, writes)
         for prefix, queue in (("iq.int", processor.int_iq),
                               ("iq.fp", processor.fp_iq)):
             counters = queue.counters

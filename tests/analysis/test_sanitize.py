@@ -113,6 +113,16 @@ class TestRegfileCoherence:
         sim.dtm.on_sample(sim.processor)
         assert sim.sanitizer.stats.violations == []
 
+    def test_alu_release_under_off_copy_passes(self):
+        """The ALU controller releasing an ALU that a turned-off copy
+        still blocks leaves it busy."""
+        sim = Simulator(small_config())
+        sim.processor.turn_off_regfile_copy(0)
+        sim.processor.set_alu_busy(0, True)
+        sim.processor.set_alu_busy(0, False)
+        sim.dtm.on_sample(sim.processor)
+        assert sim.sanitizer.stats.violations == []
+
 
 class TestIssueToOffUnit:
     def test_start_on_busy_unit_raises(self):

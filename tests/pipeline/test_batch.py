@@ -62,11 +62,12 @@ def fig7_grid(**overrides):
                            ALUPolicy.BASE)]
 
 
-def fig8_grid(**overrides):
-    """Register-file study: the mapping kind is warm-relevant (it
-    shapes warm-up traffic), so the four policies batch as two groups
-    of two — fine-grain turnoff only matters during measurement."""
-    return [config("gzip", FloorplanVariant.REGFILE,
+def fig8_grid(benchmark="gzip", **overrides):
+    """Register-file study: the port mapping only decides which copy
+    each read port drains, and reads are counted per port, so the four
+    policies share one warm state and batch as one group — they differ
+    only once fine-grain turnoff acts during measurement."""
+    return [config(benchmark, FloorplanVariant.REGFILE,
                    TechniqueConfig(regfile=RegFilePolicy(kind, fine)),
                    **overrides)
             for kind in (MappingKind.BALANCED, MappingKind.PRIORITY)
@@ -123,11 +124,11 @@ class TestPlanGroups:
         assert plan_groups(configs, range(len(configs))) == []
 
     def test_only_pending_indices_considered(self):
-        configs = fig8_grid()
-        groups = plan_groups(configs, [0, 1])
+        configs = fig8_grid() + fig8_grid("mesa")
+        groups = plan_groups(configs, [0, 1, 4])
         assert sorted(sorted(g) for g in groups) == [[0, 1]]
-        # The two mapping kinds warm differently and never group.
-        assert plan_groups(configs, [1, 3]) == []
+        # The two benchmarks warm differently and never group.
+        assert plan_groups(configs, [1, 6]) == []
 
     def test_batch_key_separates_cycle_budgets(self):
         a = config("gzip")
@@ -171,7 +172,23 @@ class TestBatchIdentity:
         _, stats7 = run_grid(monkeypatch, fig7_grid())
         assert (stats7.batch_groups, stats7.batched_runs) == (2, 4)
         _, stats8 = run_grid(monkeypatch, fig8_grid())
-        assert (stats8.batch_groups, stats8.batched_runs) == (2, 4)
+        assert (stats8.batch_groups, stats8.batched_runs) == (1, 4)
+
+    def test_mappings_of_a_forking_benchmark_share_a_group(
+            self, monkeypatch):
+        """perlbmk's four register-file configurations, both mapping
+        kinds with and without turnoff, run as one group whose runs
+        fork once their gating differs, and still match per-run and
+        reference-loop execution."""
+        configs = fig8_grid("perlbmk")
+        batched, stats = run_grid(monkeypatch, configs)
+        assert (stats.batch_groups, stats.batched_runs) == (1, 4)
+        assert stats.fork_count >= 1
+        per_run, _ = run_grid(monkeypatch, configs, batch="0")
+        assert_all_identical(batched, per_run)
+        reference, _ = run_grid(monkeypatch, configs, batch="0",
+                                kernel="0")
+        assert_all_identical(batched, reference)
 
     def test_mid_interval_warm_state(self, monkeypatch):
         """A warm-up that is NOT a multiple of the sensing interval:
@@ -275,7 +292,8 @@ class TestEngineBookkeeping:
 
     def test_groups_go_to_pool_whole(self, monkeypatch):
         """A two-group grid at jobs=2 sends each group to the pool as
-        one task, and every run is counted as pooled and batched."""
+        one task, and every run is counted as pooled and batched.  One
+        group per benchmark, each mixing the two mapping kinds."""
         monkeypatch.setenv("REPRO_BATCH", "1")
         monkeypatch.setenv("REPRO_KERNEL", "1")
         engine = ExperimentEngine(jobs=2, use_cache=False,
@@ -288,7 +306,7 @@ class TestEngineBookkeeping:
             run_pool(configs, tasks, results)
 
         monkeypatch.setattr(engine, "_run_pool", spy)
-        configs = fig8_grid()
+        configs = fig8_grid()[1:3] + fig8_grid("mesa")[1:3]
         results = engine.run_many(configs)
         assert waves == [[(0, 1), (2, 3)]]
         stats = engine.stats
@@ -619,10 +637,11 @@ class TestWorkCounts:
     repo benchmark (``perf/``)."""
 
     # (kernel chunks, cycles they stepped, checkpoint captures,
-    # restores).  The cold pass warms up 6 checkpoint cells; the warm
-    # pass restores all 18 runs and steps measured cycles only.
-    COLD = (133, 37_750, 6, 12)
-    WARM = (127, 31_750, 0, 18)
+    # restores).  The cold pass warms up 4 checkpoint cells (per
+    # benchmark, round-robin and the rest); the warm pass restores all
+    # 18 runs and steps measured cycles only.
+    COLD = (118, 32_500, 4, 14)
+    WARM = (114, 28_500, 0, 18)
 
     def test_figure_grid_cold_then_warm(self, monkeypatch, tmp_path):
         for env in ("REPRO_BATCH", "REPRO_KERNEL", "REPRO_CHECKPOINTS"):
@@ -646,8 +665,9 @@ class TestWorkCounts:
             assert (len(stepped), sum(stepped), stats.checkpoint_captures,
                     stats.checkpoint_restores) == expected
             assert (stats.batch_groups, stats.batched_runs,
-                    stats.fork_count) == (8, 16, 3)
-            assert stats.batch_class_occupancy == {1: 45, 2: 27}
+                    stats.fork_count) == (6, 16, 4)
+            assert stats.batch_class_occupancy == {1: 36, 2: 9, 3: 2,
+                                                   4: 7}
             assert sum(r.cycles for r in results) == 45_000
 
 

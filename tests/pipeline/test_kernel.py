@@ -58,7 +58,7 @@ def state_digest(proc):
     Masked before pickling: per-run SoA counters (compared as arrays
     by the callers), stall/throttle deadlines normalized to
     cycles-remaining (an expired deadline is inert), and set-valued
-    state (rename ``ready``, regfile ``off``/``blocked``, issue-queue
+    state (rename ``ready``, regfile ``off``, issue-queue
     entry ``waiting_tags``) replaced by sorted tuples, because a set's
     pickle bytes depend on its insertion history.
     """
@@ -78,7 +78,6 @@ def state_digest(proc):
     state["fp_mul"] = dict(state["fp_mul"], counters=None)
     regfile = dict(state["regfile"], counters=None)
     regfile["off"] = tuple(sorted(regfile["off"]))
-    regfile["blocked"] = tuple(sorted(regfile["blocked"]))
     state["regfile"] = regfile
     rename = dict(state["rename"])
     rename["ready"] = tuple(sorted(rename["ready"]))
@@ -213,7 +212,7 @@ class TestInternalState:
             proc = sim.processor
             arrays = [proc.int_iq._c, proc.fp_iq._c, proc._int_bank.ops,
                       proc._fp_add_bank.ops, proc._fp_mul_bank.ops,
-                      proc.regfile._reads, proc.regfile._writes]
+                      proc.regfile._port_reads, proc.regfile._writes]
             outcomes.append((result, state_digest(proc),
                              [a.tolist() for a in arrays]))
         return outcomes
@@ -272,7 +271,7 @@ def straddles(queue):
 
 def final_state(proc):
     """Everything a run must agree on, however it was sliced."""
-    arrays = [proc.int_iq._c, proc.fp_iq._c, proc.regfile._reads,
+    arrays = [proc.int_iq._c, proc.fp_iq._c, proc.regfile._port_reads,
               proc.regfile._writes]
     for bank in (proc._int_bank, proc._fp_add_bank, proc._fp_mul_bank):
         arrays += [bank.ops, bank.busy_cycles, bank.turnoff_events]

@@ -113,6 +113,39 @@ class TestDTMHooks:
         p.run(2000)
         assert p.int_alus[0].counters.ops > before
 
+    def test_regfile_turn_on_keeps_held_alu_busy(self):
+        """An ALU the ALU controller holds off stays busy when the copy
+        that also blocked it turns back on."""
+        p = Processor(independent_ops(10))
+        p.set_alu_busy(0, True)
+        p.turn_off_regfile_copy(0)
+        p.turn_on_regfile_copy(0)
+        assert [u.busy for u in p.int_alus] == [True] + [False] * 5
+        assert p.int_alus[0].counters.turnoff_events == 1
+
+    def test_alu_release_keeps_blocked_alu_busy(self):
+        """Releasing the ALU controller's hold leaves an ALU busy while
+        a turned-off copy still blocks it."""
+        p = Processor(independent_ops(10))
+        p.turn_off_regfile_copy(0)
+        p.set_alu_busy(0, True)
+        p.set_alu_busy(0, False)
+        assert p.int_alus[0].busy
+        p.turn_on_regfile_copy(0)
+        assert not any(u.busy for u in p.int_alus)
+
+    def test_gating_overlay_carries_both_owners(self):
+        """A fork overlays its own gating tuple on another processor's
+        state; the ALU controller's hold must survive it."""
+        p = Processor(independent_ops(10))
+        p.set_alu_busy(0, True)
+        p.turn_off_regfile_copy(0)
+        q = Processor(independent_ops(10))
+        q.apply_gating(p.capture_gating())
+        assert q.capture_gating() == p.capture_gating()
+        q.turn_on_regfile_copy(0)
+        assert [u.busy for u in q.int_alus] == [True] + [False] * 5
+
     def test_toggle_issue_queues(self):
         p = Processor(independent_ops(1000))
         p.toggle_issue_queues()
@@ -132,7 +165,8 @@ class TestActivitySnapshot:
         assert second.committed >= first.committed
         assert second.fetched >= first.fetched
         assert all(b >= a for a, b in zip(first.alu_ops, second.alu_ops))
-        assert all(b >= a for a, b in zip(first.rf_reads, second.rf_reads))
+        assert all(b >= a for a, b in zip(first.rf_port_reads,
+                                          second.rf_port_reads))
 
     def test_snapshot_is_decoupled(self):
         p = Processor(workload("gzip"))

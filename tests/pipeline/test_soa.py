@@ -113,5 +113,5 @@ class TestRegFileCounterViews:
         reads = bank.counters.reads
         assert type(reads) is list and sum(reads) == 2
         assert bank.counters.writes == [1] * bank.n_copies
-        assert bank._reads.dtype == np.int64
+        assert bank._port_reads.dtype == np.int64
         assert bank._writes.dtype == np.int64

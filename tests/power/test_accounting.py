@@ -12,9 +12,9 @@ INTERVAL_S = 1000 / 4.2e9
 
 def accountant_and_processor(bench="gzip"):
     plan = ev6_floorplan(FloorplanVariant.BASE)
-    acc = PowerAccountant(plan)
     w = workload(bench)
     p = Processor(w)
+    acc = PowerAccountant(plan, mapping=p.mapping)
     l1, l2 = w.warm_footprint()
     p.memory.warm(l1, l2)
     return acc, p

@@ -12,7 +12,11 @@ back).
 
 import dataclasses
 import hashlib
+import multiprocessing
+import os
 import pickle
+import signal
+from pathlib import Path
 
 import pytest
 
@@ -22,7 +26,8 @@ from repro.core.policies import (ALL_TECHNIQUES, BASELINE, ALUPolicy,
                                  TechniqueConfig)
 from repro.pipeline.config import ProcessorConfig, ThermalConfig
 from repro.sim.checkpoint import (CheckpointError, CheckpointStore,
-                                  checkpoint_key, checkpoints_enabled)
+                                  checkpoint_key, checkpoints_enabled,
+                                  read_entry, write_entry)
 from repro.sim.parallel import (ExperimentEngine, ResultCache,
                                 _execute_config)
 from repro.sim.runner import SimulationConfig, Simulator
@@ -87,6 +92,41 @@ class TestEquivalence:
             restored = Simulator.from_checkpoint(config, blob).run()
             assert (dataclasses.asdict(fresh)
                     == dataclasses.asdict(restored))
+
+    @pytest.mark.parametrize("bench", ["gzip", "perlbmk"])
+    def test_warm_blob_is_the_same_for_every_mapping(self, bench):
+        """The register file counts reads per ALU read port, so the
+        three mapping kinds capture byte-identical warm state."""
+        blobs = [capture_blob(small_config(
+                     benchmark=bench, variant=FloorplanVariant.REGFILE,
+                     techniques=TechniqueConfig(
+                         regfile=RegFilePolicy(kind))))
+                 for kind in (MappingKind.PRIORITY, MappingKind.BALANCED,
+                              MappingKind.COMPLETELY_BALANCED)]
+        assert blobs[1] == blobs[0] and blobs[2] == blobs[0]
+
+    @pytest.mark.parametrize("kernel", ["1", "0"],
+                             ids=["kernel", "reference"])
+    def test_restore_across_mappings_is_bit_identical(self, monkeypatch,
+                                                      kernel):
+        """A run restored from a checkpoint another mapping captured
+        equals its own fresh run: the warm-up power it replays from the
+        stored snapshots is folded through its own mapping."""
+        monkeypatch.setenv("REPRO_KERNEL", kernel)
+        donor = small_config(benchmark="perlbmk",
+                             variant=FloorplanVariant.REGFILE)
+        blob = capture_blob(donor)
+        reads = set()
+        for kind in (MappingKind.BALANCED, MappingKind.COMPLETELY_BALANCED):
+            config = dataclasses.replace(
+                donor, techniques=TechniqueConfig(
+                    regfile=RegFilePolicy(kind, fine_grain_turnoff=True)))
+            fresh = Simulator(config).run()
+            restored = Simulator.from_checkpoint(config, blob).run()
+            assert (dataclasses.asdict(fresh)
+                    == dataclasses.asdict(restored))
+            reads.add(str(fresh.metrics["regfile.reads"]))
+        assert len(reads) == 2
 
     def test_restore_fills_stage_times(self):
         config = small_config()
@@ -157,6 +197,20 @@ class TestLiveState:
             Simulator.resume_live(small_config(), b"garbage")
 
 
+def _write_terminated_before_replace(path):
+    """Child process: ``SIGTERM`` itself once the temp file is written,
+    just before it is moved into place."""
+    replace = os.replace
+
+    def terminated_replace(src, dst):
+        os.kill(os.getpid(), signal.SIGTERM)
+        replace(src, dst)
+
+    os.replace = terminated_replace
+    write_entry(Path(path), b"payload")
+    os._exit(0)
+
+
 # ---------------------------------------------------------------------------
 # key sharing and invalidation
 # ---------------------------------------------------------------------------
@@ -178,6 +232,13 @@ class TestCheckpointKey:
                 dataclasses.replace(
                     base, techniques=TechniqueConfig(
                         alus=ALUPolicy.FINE_GRAIN)),
+                dataclasses.replace(
+                    base, techniques=TechniqueConfig(
+                        regfile=RegFilePolicy(MappingKind.BALANCED))),
+                dataclasses.replace(
+                    base, techniques=TechniqueConfig(
+                        regfile=RegFilePolicy(
+                            MappingKind.COMPLETELY_BALANCED))),
         ):
             assert checkpoint_key(changed) == checkpoint_key(base)
 
@@ -192,9 +253,6 @@ class TestCheckpointKey:
                 dataclasses.replace(
                     base, techniques=TechniqueConfig(
                         alus=ALUPolicy.ROUND_ROBIN)),
-                dataclasses.replace(
-                    base, techniques=TechniqueConfig(
-                        regfile=RegFilePolicy(MappingKind.BALANCED))),
         ):
             assert checkpoint_key(changed) != checkpoint_key(base)
 
@@ -252,6 +310,23 @@ class TestCheckpointStore:
         assert store.clear() == 0
         assert not leftover.exists()
         assert not bucket.exists()
+
+    @pytest.mark.skipif(not hasattr(signal, "pthread_sigmask"),
+                        reason="needs POSIX signal masks")
+    def test_writer_terminated_mid_write_leaves_no_temp_file(
+            self, tmp_path):
+        """A process pool terminates its other workers (``SIGTERM``)
+        when one dies.  A writer terminated between its temp write and
+        ``os.replace`` finishes the entry first and leaves no temp
+        file."""
+        path = tmp_path / "ab" / "entry.pkl"
+        child = multiprocessing.get_context("fork").Process(
+            target=_write_terminated_before_replace, args=(str(path),))
+        child.start()
+        child.join(timeout=60)
+        assert child.exitcode == -signal.SIGTERM
+        assert read_entry(path) == b"payload"
+        assert not list(tmp_path.rglob("*.tmp*"))
 
     def test_corrupt_blob_raises_checkpoint_error(self):
         config = small_config()

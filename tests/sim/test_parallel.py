@@ -239,13 +239,15 @@ class TestCrashHandling:
 
 
 def two_group_grid():
-    """Four register-file runs that batch as two groups of two (the
-    mapping kind is warm-relevant)."""
-    return [small_config(variant=FloorplanVariant.REGFILE,
+    """Four register-file runs that batch as two groups of two: one
+    group per benchmark, each mixing the two mapping kinds (the
+    mapping does not shape warm state)."""
+    return [small_config(benchmark=bench, variant=FloorplanVariant.REGFILE,
                          techniques=TechniqueConfig(
                              regfile=RegFilePolicy(kind, fine)))
-            for kind in (MappingKind.BALANCED, MappingKind.PRIORITY)
-            for fine in (True, False)]
+            for bench in ("gzip", "mesa")
+            for kind, fine in ((MappingKind.BALANCED, True),
+                               (MappingKind.PRIORITY, False))]
 
 
 class TestGroupTaskDeath:

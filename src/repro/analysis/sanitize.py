@@ -20,7 +20,12 @@ every correct run:
   for partitioned mappings, a partition) of the ALUs, and every ALU
   wired to a turned-off copy is marked busy;
 * **no issue to turned-off units** — a functional unit never receives
-  work while its fine-grain turnoff flag is raised.
+  work while its fine-grain turnoff flag is raised.  Busy flags change
+  only at sampling boundaries (the macro-step contract, which lint
+  rule REP102 enforces), so the check is per interval: a unit that
+  was busy after one boundary must show no new ``counters.ops`` at
+  the next.  It reads counters both execution paths keep, so a
+  sanitized run executes the same issue code as a plain one.
 
 Enable with ``REPRO_SANITIZE=1`` in the environment or
 ``SimulationConfig(sanitize=True)``; a violation raises
@@ -33,7 +38,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Set
+from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Set, Tuple
 
 from ..core.mapping import MappingKind
 
@@ -96,15 +101,18 @@ class Sanitizer:
         self.stats = SanitizerStats()
         self._last_total_j = 0.0
         self._last_block_sum_j = 0.0
+        #: ``(busy, ops)`` per functional unit at the last boundary.
+        self._unit_record: List[Tuple[bool, int]] = []
 
     # ------------------------------------------------------------------
     def attach(self, simulator: "Simulator") -> None:
-        """Hook the accountant, thermal model, DTM and functional
-        units of ``simulator``."""
+        """Hook the accountant, thermal model and DTM of
+        ``simulator``, and record its units' busy flags and op counts
+        (the baseline of the first interval's issue check)."""
         self._watch_accountant(simulator.accountant)
         self._watch_thermal(simulator.thermal)
         self._watch_dtm(simulator.dtm, simulator.processor)
-        self._watch_units(simulator.processor)
+        self._record_units(simulator.processor)
 
     # ------------------------------------------------------------------
     def _fail(self, invariant: str, message: str) -> None:
@@ -189,10 +197,12 @@ class Sanitizer:
         original_on_sample = dtm.on_sample
 
         def on_sample(proc: "Processor") -> None:
+            self._check_issue(processor)
             original_on_sample(proc)
             self.stats.samples += 1
             self._check_queues(processor)
             self._check_regfile(processor)
+            self._record_units(processor)
 
         dtm.on_sample = on_sample
 
@@ -285,22 +295,21 @@ class Sanitizer:
                     f"copy(ies) {sorted(off_copies)} but is not marked "
                     f"busy — the DTM could issue to it")
 
-    def _watch_units(self, processor: "Processor") -> None:
-        for unit in processor._all_units:
-            self._watch_unit(unit)
+    def _record_units(self, processor: "Processor") -> None:
+        """Each unit's ``(busy, ops)`` after a boundary's DTM: the
+        flags hold until the next boundary."""
+        self._unit_record = [(unit.busy, unit.counters.ops)
+                             for unit in processor._all_units]
 
-    def _watch_unit(self, unit: Any) -> None:
-        original_start = unit.start
-
-        def start(op: Any, rob_index: int, now: int,
-                  extra_latency: int = 0) -> int:
-            self.stats.issue_checks += 1
-            if unit.busy:
+    def _check_issue(self, processor: "Processor") -> None:
+        """Before the DTM runs: a unit busy since the previous
+        boundary received no op in the interval."""
+        units = processor._all_units
+        self.stats.issue_checks += len(units)
+        for unit, (busy, ops) in zip(units, self._unit_record):
+            if busy and unit.counters.ops != ops:
                 self._fail(
                     "issue_to_off_unit",
-                    f"{unit.name} received uop seq {op.seq} while its "
-                    f"fine-grain turnoff flag is raised")
-            return original_start(op, rob_index, now,
-                                  extra_latency=extra_latency)
-
-        unit.start = start
+                    f"{unit.name} received {unit.counters.ops - ops} "
+                    f"uop(s) while its fine-grain turnoff flag was "
+                    f"raised")

@@ -272,8 +272,8 @@ _COUNTER_ATTRS = frozenset({"ops", "busy_cycles", "turnoff_events",
 
 def _alias_maps(index: ProjectIndex) -> Dict[Tuple[str, str], str]:
     """``(path, attr_name) -> counter attr`` for instance attributes
-    bound to a backing array (``self._ops_arr = bank.ops`` makes
-    ``_ops_arr`` an alias of ``ops`` within that file)."""
+    bound to a backing array (``self._tally = bank.ops`` makes
+    ``_tally`` an alias of ``ops`` within that file)."""
     aliases: Dict[Tuple[str, str], str] = {}
     for ctx in index.contexts:
         for node in ast.walk(ctx.tree):
@@ -314,7 +314,7 @@ class _CounterWrites:
     attribute rebinding (``self.ops = np.zeros(...)``) is array
     (re)construction, not counter mutation.  Local names assigned from
     a backing array (``c = self._c``) are followed, as are per-file
-    instance-attribute aliases (``self._ops_arr = bank.ops``).
+    instance-attribute aliases (``self._tally = bank.ops``).
     """
 
     def __init__(self, path: str,

@@ -113,9 +113,6 @@ class TraceCollector:
         wanted = kind if isinstance(kind, str) else kind.kind
         return [e for e in self.events() if e.kind == wanted]
 
-    def to_dicts(self) -> List[Dict[str, object]]:
-        return [event.to_dict() for event in self.events()]
-
     def export_jsonl(self, path: Union[str, "os.PathLike[str]"]) -> int:
         """Write retained events as JSON Lines; returns the count."""
         events = self.events()

@@ -9,7 +9,13 @@ pipeline: ALU ops, FP adds, and FP multiplies are fully pipelined
 occupies its unit for its latency (non-pipelined).
 
 ``busy`` is the fine-grain-turnoff hook: a busy unit refuses issue but
-keeps draining in-flight work.
+keeps draining in-flight work.  Only the DTM flips it, at sampling
+boundaries.
+
+:meth:`FunctionalUnit.start` and :meth:`FunctionalUnit.drain` are the
+reference loop's execute and writeback; the macro-step kernel inlines
+both on the same ``_pipeline`` records and derives each unit's op
+count from its select tree's grants.
 
 Activity counters live in a shared per-bank :class:`~repro.pipeline.
 soa.UnitBank` (struct-of-arrays, one slot per unit) so the macro-step
@@ -112,18 +118,12 @@ class FunctionalUnit:
         self._bank = bank
         self._slot = index if slot is None else slot
         self.counters = ALUCounters(self._bank, self._slot)
-        #: Hot-path alias: ``start`` bumps the ops array directly.
-        self._ops_arr = bank.ops
         self._pipeline: List[_InFlight] = []
         self._blocked_until = -1
         # Earliest finish cycle in flight; lets writeback skip the
         # unit without scanning the pipeline.  Derived state: always
         # recomputed from ``_pipeline``, never serialized.
         self._next_finish = _NEVER
-        # One-element busy-unit tally shared by every unit of a
-        # processor (attached after construction); lets the per-cycle
-        # busy accounting skip the unit scan when nothing is off.
-        self._bank_busy: Optional[List[int]] = None
 
     def can_execute(self, opclass: OpClass) -> bool:
         return opclass in self.opclasses
@@ -152,7 +152,7 @@ class FunctionalUnit:
         self._pipeline.append(_InFlight(op, rob_index, finish))
         if finish < self._next_finish:
             self._next_finish = finish
-        self._ops_arr[self._slot] += 1
+        self._bank.ops[self._slot] += 1
         return finish
 
     def drain(self, now: int) -> List[_InFlight]:
@@ -177,8 +177,6 @@ class FunctionalUnit:
         if value:
             self._bank.turnoff_events[self._slot] += 1
         self.busy = value
-        if self._bank_busy is not None:
-            self._bank_busy[0] += 1 if value else -1
 
     # ------------------------------------------------------------------
     # warm-state checkpointing (repro.sim.checkpoint)

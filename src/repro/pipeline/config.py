@@ -127,12 +127,6 @@ class ThermalConfig:
         return 1.0 / self.frequency_hz
 
     @property
-    def sensor_interval_s(self) -> float:
-        """Wall-clock seconds represented by one sensing interval,
-        after thermal acceleration."""
-        return self.sensor_interval_cycles * self.cycle_time_s * self.acceleration
-
-    @property
     def cooling_cycles(self) -> int:
         """Cycles of a global cooling stall, after acceleration."""
         return max(

@@ -463,32 +463,7 @@ class CompactingIssueQueue:
         window = self.replay_window
         now = self._now
         order, slots = self._order, self.slots
-        pending = self._pending_removal
-        ce0 = ce1 = 0
-        if (self._holes == 0 and pending
-                and now - pending[0].issued_at < window):
-            # Dense queue and nothing expires this cycle (``pending``
-            # is in issue order, so its head is the oldest): no entry
-            # can move and the slot arrays stay as they are.  Only the
-            # gating charges apply — every entry above an
-            # invalid-marked (issued) slot evaluates its counter
-            # stages (rules 1 and 2).
-            mid = self.mid
-            top = self._top
-            first = top
-            for logical in range(top):
-                if slots[order[logical]].issued_at is not None:
-                    first = logical
-                    break
-            # Every entry above the lowest invalid-marked slot evaluates,
-            # including other issued entries.
-            for logical in range(first + 1, top):
-                if order[logical] < mid:
-                    ce0 += 1
-                else:
-                    ce1 += 1
-            return ce0, ce1, 0, 0, 0, 0, 0, 0
-        cm0 = cm1 = mx0 = mx1 = lm0 = lm1 = 0
+        ce0 = ce1 = cm0 = cm1 = mx0 = mx1 = lm0 = lm1 = 0
         compact_width = self.compact_width
         n = self.n_entries
         mid = self.mid

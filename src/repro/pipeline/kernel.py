@@ -13,7 +13,7 @@ cycles) at a time:
   activity) accumulate in plain locals and land in the SoA arrays
   (:mod:`repro.pipeline.soa`) as a handful of vectorized adds per
   macro-step instead of per-cycle attribute bumps;
-* the stall/throttle gates and the sampling countdown live *outside*
+* the stall/throttle gates and the sampling check live *outside*
   the per-cycle body: a fully stalled stretch is bulk-skipped in O(1),
   and sampling reduces to slicing the run into boundary-aligned chunks.
 
@@ -78,7 +78,7 @@ def run_kernel(proc: "Processor", max_cycles: int,
 
     Slices the run into macro-steps bounded by absolute sampling
     boundaries (``now % sample_interval == 0``) and fires ``on_sample``
-    exactly where the reference countdown would — including after a
+    exactly where the reference loop does — including after a
     chunk whose final cycle both drains the pipeline and lands on a
     boundary (the reference samples before its drain check).
     """
@@ -191,26 +191,13 @@ def _run_chunk(proc: "Processor", n_cycles: int) -> Tuple[int, bool]:
 
     units = proc._all_units
     n_units = len(units)
-    # Bound through the instance attribute so the sanitizer's wrapped
-    # ``unit.start`` stays on the call path.
     int_alus = proc.int_alus
     n_int = len(int_alus)
-    int_starts = [u.start for u in int_alus]
     int_blocked = [u._blocked_until for u in int_alus]
     fp_adders = proc.fp_adders
     n_fp = len(fp_adders)
-    fp_starts = [u.start for u in fp_adders]
     fp_mul = proc.fp_mul
-    fp_mul_start = fp_mul.start
     mul_j = n_units - 1
-    # The sanitizer hooks ``unit.start`` as an instance attribute; when
-    # no unit is hooked, issue can build the in-flight records inline
-    # instead of paying a method call (+ numpy scalar bump) per op.
-    fast_units = True
-    for u in units:
-        if "start" in u.__dict__:
-            fast_units = False
-            break
     # Unit execution state, hoisted: in-flight lists are mutated (and
     # on drain, rebound) locally and written back in the flush; the
     # next-finish sentinels let writeback skip an idle unit on one
@@ -294,7 +281,6 @@ def _run_chunk(proc: "Processor", n_cycles: int) -> Tuple[int, bool]:
     msc_cycles = mul_sel.counters.cycles
     msc_req = mul_sel.counters.requests_seen
 
-    busy_n = proc._busy_count[0]
     active_cycles = 0
 
     OC_LOAD = OpClass.LOAD
@@ -521,13 +507,6 @@ def _run_chunk(proc: "Processor", n_cycles: int) -> Tuple[int, bool]:
                     nf[j] = next_finish
                     if next_finish < min_nf:
                         min_nf = next_finish
-                    if not fast_units:
-                        # Keep the unit's own state live so the
-                        # sanitizer's wrapped ``start`` appends to the
-                        # current list.
-                        unit = units[j]
-                        unit._pipeline = remaining
-                        unit._next_finish = next_finish
 
             if throttled_until > now and now & 1:
                 st_throttled += 1
@@ -588,28 +567,19 @@ def _run_chunk(proc: "Processor", n_cycles: int) -> Tuple[int, bool]:
                                     f"ALU {t} should have been marked "
                                     f"busy")
                             operand_tally[t][n_operands] += 1
-                            if fast_units:
-                                base = latency_of[oc]
-                                if oc is OC_INT_MUL:
-                                    int_blocked[t] = now + base
-                                fin = now + base + extra
-                                w = new(_InFlight)
-                                w.op = op
-                                w.rob_index = e.rob_index
-                                w.finish_cycle = fin
-                                pipelines[t].append(w)
-                                if fin < nf[t]:
-                                    nf[t] = fin
-                                if fin < min_nf:
-                                    min_nf = fin
-                            else:
-                                int_starts[t](op, e.rob_index, now, extra)
-                                u = int_alus[t]
-                                if oc is OC_INT_MUL:
-                                    int_blocked[t] = u._blocked_until
-                                nf[t] = u._next_finish
-                                if nf[t] < min_nf:
-                                    min_nf = nf[t]
+                            base = latency_of[oc]
+                            if oc is OC_INT_MUL:
+                                int_blocked[t] = now + base
+                            fin = now + base + extra
+                            w = new(_InFlight)
+                            w.op = op
+                            w.rob_index = e.rob_index
+                            w.finish_cycle = fin
+                            pipelines[t].append(w)
+                            if fin < nf[t]:
+                                nf[t] = fin
+                            if fin < min_nf:
+                                min_nf = fin
                             rob_entries[e.rob_index].issued = True
                         budget -= taken
                     if int_rr:
@@ -653,24 +623,17 @@ def _run_chunk(proc: "Processor", n_cycles: int) -> Tuple[int, bool]:
                             op = e.op
                             fp_acc += ((op.src1 is not None)
                                        + (op.src2 is not None))
-                            if fast_units:
-                                j = n_int + t
-                                fin = now + latency_of[OC_FP_ADD]
-                                w = new(_InFlight)
-                                w.op = op
-                                w.rob_index = e.rob_index
-                                w.finish_cycle = fin
-                                pipelines[j].append(w)
-                                if fin < nf[j]:
-                                    nf[j] = fin
-                                if fin < min_nf:
-                                    min_nf = fin
-                            else:
-                                fp_starts[t](op, e.rob_index, now)
-                                fin = fp_adders[t]._next_finish
-                                nf[n_int + t] = fin
-                                if fin < min_nf:
-                                    min_nf = fin
+                            j = n_int + t
+                            fin = now + latency_of[OC_FP_ADD]
+                            w = new(_InFlight)
+                            w.op = op
+                            w.rob_index = e.rob_index
+                            w.finish_cycle = fin
+                            pipelines[j].append(w)
+                            if fin < nf[j]:
+                                nf[j] = fin
+                            if fin < min_nf:
+                                min_nf = fin
                             rob_entries[e.rob_index].issued = True
                     if fp_rr:
                         fp_rr_off = (fp_rr_off + 1) % n_fp
@@ -690,23 +653,16 @@ def _run_chunk(proc: "Processor", n_cycles: int) -> Tuple[int, bool]:
                             op = e.op
                             fp_acc += ((op.src1 is not None)
                                        + (op.src2 is not None))
-                            if fast_units:
-                                fin = now + latency_of[OC_FP_MUL]
-                                w = new(_InFlight)
-                                w.op = op
-                                w.rob_index = e.rob_index
-                                w.finish_cycle = fin
-                                pipelines[mul_j].append(w)
-                                if fin < nf[mul_j]:
-                                    nf[mul_j] = fin
-                                if fin < min_nf:
-                                    min_nf = fin
-                            else:
-                                fp_mul_start(op, e.rob_index, now)
-                                fin = fp_mul._next_finish
+                            fin = now + latency_of[OC_FP_MUL]
+                            w = new(_InFlight)
+                            w.op = op
+                            w.rob_index = e.rob_index
+                            w.finish_cycle = fin
+                            pipelines[mul_j].append(w)
+                            if fin < nf[mul_j]:
                                 nf[mul_j] = fin
-                                if fin < min_nf:
-                                    min_nf = fin
+                            if fin < min_nf:
+                                min_nf = fin
                             rob_entries[e.rob_index].issued = True
 
                 # ---- queue tick (compaction) -------------------------
@@ -951,15 +907,13 @@ def _run_chunk(proc: "Processor", n_cycles: int) -> Tuple[int, bool]:
             unit._next_finish = nf[j]
         for t in range(n_int):
             int_alus[t]._blocked_until = int_blocked[t]
-        if fast_units:
-            # Otherwise each unit's own ``start`` counted its ops.
-            if i_grants:
-                proc._int_bank.ops += int_ops
-            if any(fp_ops):
-                proc._fp_add_bank.ops += fp_ops
-            if mul_ops:
-                proc._fp_mul_bank.ops[0] += mul_ops
-        if busy_n and active_cycles:
+        if i_grants:
+            proc._int_bank.ops += int_ops
+        if any(fp_ops):
+            proc._fp_add_bank.ops += fp_ops
+        if mul_ops:
+            proc._fp_mul_bank.ops[0] += mul_ops
+        if active_cycles:
             for unit in units:
                 if unit.busy:
                     unit._bank.busy_cycles[unit._slot] += active_cycles

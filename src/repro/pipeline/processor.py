@@ -143,12 +143,6 @@ class Processor:
         self._int_bank = self.int_alus[0]._bank
         self._fp_add_bank = self.fp_adders[0]._bank
         self._fp_mul_bank = self.fp_mul._bank
-        #: Count of currently turned-off units, maintained by
-        #: ``FunctionalUnit.set_busy`` — when zero (the common case),
-        #: the per-cycle busy accounting skips the unit scan.
-        self._busy_count = [0]
-        for unit in self._all_units:
-            unit._bank_busy = self._busy_count
         self.fp_reg_accesses = 0
         # Per-cycle hot-path copies of immutable config fields.
         self._issue_width = cfg.issue_width
@@ -232,10 +226,9 @@ class Processor:
             return
         self._commit()
         self._writeback()
-        if self._busy_count[0]:
-            for unit in self._all_units:
-                if unit.busy:
-                    unit._bank.busy_cycles[unit._slot] += 1
+        for unit in self._all_units:
+            if unit.busy:
+                unit._bank.busy_cycles[unit._slot] += 1
         if now < self.throttled_until and now % 2:
             stats.throttled_cycles += 1
             return  # gated cycle: in-flight work drained, nothing new
@@ -262,22 +255,13 @@ class Processor:
         fetch = self.fetch
         rob = self.rob
         sampling = bool(sample_interval) and on_sample is not None
-        # Countdown to the next sample, recomputed from the absolute
-        # cycle number at every entry: ``step`` advances ``now`` by
-        # exactly one, so this fires on the same cycles as
-        # ``now % sample_interval == 0`` without a modulo per cycle —
-        # and stays aligned to absolute interval boundaries even when
-        # the run starts mid-interval (e.g. after restoring a warm
-        # checkpoint taken at a non-boundary cycle).
-        countdown = (sample_interval - self.now % sample_interval
-                     if sampling else 0)
         for _ in range(max_cycles):
             self.step()
-            if sampling:
-                countdown -= 1
-                if not countdown:
-                    on_sample(self)
-                    countdown = sample_interval
+            # Boundaries are absolute cycle numbers, so a run that
+            # starts mid-interval (a warm checkpoint taken at a
+            # non-boundary cycle) samples where a fresh run does.
+            if sampling and self.now % sample_interval == 0:
+                on_sample(self)
             if fetch.drained and len(rob) == 0:
                 break
         return self.stats
@@ -503,10 +487,6 @@ class Processor:
         self.fp_add_select.restore_state(state["fp_add_select"])
         self.fp_mul_select.restore_state(state["fp_mul_select"])
         self.regfile.restore_state(state["regfile"])
-        # Units restore their busy flags directly (bypassing
-        # ``set_busy``), so the shared tally is recomputed here.
-        self._busy_count[0] = sum(
-            1 for unit in self._all_units if unit.busy)
 
     # ------------------------------------------------------------------
     # batched-grid interface (repro.pipeline.kernel.run_batch)
@@ -515,10 +495,10 @@ class Processor:
         """Rebind every SoA counter of this processor to row ``run``
         of a shared :class:`~repro.pipeline.soa.RunAxisStore`.
 
-        Current counter values are carried into the store, and the
-        hot-path aliases (``FunctionalUnit._ops_arr``) are re-pointed,
-        so both the reference loop and the macro-step kernel keep
-        working unchanged — they just write through row views now.
+        Current counter values are carried into the store.  Every
+        writer reaches the counters through its bank or queue, so both
+        the reference loop and the macro-step kernel keep working
+        unchanged — they just write through row views now.
         """
         self._int_bank.adopt_storage(
             store.view(run, "int_ops"),
@@ -532,8 +512,6 @@ class Processor:
             store.view(run, "fp_mul_ops"),
             store.view(run, "fp_mul_busy_cycles"),
             store.view(run, "fp_mul_turnoff_events"))
-        for unit in self._all_units:
-            unit._ops_arr = unit._bank.ops
         self.int_iq.adopt_counter_storage(store.view(run, "int_iq"))
         self.fp_iq.adopt_counter_storage(store.view(run, "fp_iq"))
         self.regfile.adopt_counter_storage(
@@ -565,7 +543,7 @@ class Processor:
         decisions — which are exactly the gating tuple — are re-applied
         on top.  Busy flags are set directly (their ``turnoff_events``
         bumps already happened on this run's own counter row), and the
-        shared busy tally and register-file block set are recomputed.
+        register-file block set is recomputed.
         """
         (self.stalled_until, self.throttled_until,
          int_mode, fp_mode, busy_flags, alu_held, off_copies) = gating
@@ -575,8 +553,6 @@ class Processor:
                 queue._rebuild_order()
         for unit, flag in zip(self._all_units, busy_flags):
             unit.busy = flag
-        self._busy_count[0] = sum(
-            1 for unit in self._all_units if unit.busy)
         self._alu_held = list(alu_held)
         regfile = self.regfile
         regfile._off = set(off_copies)

@@ -65,25 +65,10 @@ class ActiveList:
     def mark_done(self, index: int) -> None:
         self.get(index).done = True
 
-    def commit_ready(self) -> List[ROBEntry]:
-        """Entries at the head that are complete, oldest first (without
-        removing them)."""
-        ready = []
-        pos = self._head
-        for _ in range(self._count):
-            entry = self._entries[pos]
-            if entry is None or not entry.done:
-                break
-            ready.append(entry)
-            pos = (pos + 1) % self.capacity
-        return ready
-
     def ready_count(self, limit: int) -> int:
-        """Number of completed entries at the head, capped at ``limit``.
-
-        Equivalent to ``min(len(commit_ready()), limit)`` without
-        materialising the list past the commit width.
-        """
+        """Number of completed entries at the head, oldest first,
+        capped at ``limit`` (the commit width): how many entries
+        :meth:`retire` may remove this cycle."""
         ready = 0
         pos = self._head
         entries = self._entries

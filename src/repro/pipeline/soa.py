@@ -91,8 +91,8 @@ class UnitBank:
                       turnoff_events: np.ndarray) -> None:
         """Rebind the bank's arrays to externally-owned storage
         (row segments of a :class:`RunAxisStore`), carrying the
-        current values over.  Callers that alias the old arrays
-        (``FunctionalUnit._ops_arr``) must re-alias afterwards."""
+        current values over.  Units reach the arrays through the bank
+        (``unit._bank.ops``), so they write the new storage at once."""
         for new, old in ((ops, self.ops), (busy_cycles, self.busy_cycles),
                          (turnoff_events, self.turnoff_events)):
             if new.shape != old.shape or new.dtype != old.dtype:

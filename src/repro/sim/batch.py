@@ -15,8 +15,8 @@ boundary.
 
 The batch path *declines* work it cannot prove equivalent:
 
-* sanitized runs (the sanitizer wraps per-cycle hooks whose bookkeeping
-  is inherently per-run-in-flight),
+* sanitized runs (the sanitizer's boundary checks read live pipeline
+  objects, which a follower does not keep current),
 * traced runs (``TraceCollector`` events must interleave exactly as a
   solo run would emit them),
 * groups of one (nothing to share), and
@@ -115,20 +115,22 @@ def run_group(configs: Sequence[SimulationConfig],
     """Execute one batch-compatible group, batched.
 
     The first run warms up (or restores the cell's on-disk warm
-    checkpoint); every other run restores the same warm state from an
-    in-memory blob, which is the bit-identity-preserving follower
-    construction the checkpoint subsystem already guarantees.  Raises
-    :class:`BatchDeclined` when the group turns out not to be
-    batchable (non-replayable trace).
+    checkpoint); every other run restores the same warm state from
+    that blob, which is the bit-identity-preserving follower
+    construction the checkpoint subsystem already guarantees.  The
+    leader's warm state is serialized once: here only when no store
+    is in use.  Raises :class:`BatchDeclined` when the group turns out
+    not to be batchable (non-replayable trace).
     """
     if len(configs) < 2:
         raise BatchDeclined("nothing to batch")
-    leader, restored, captured = _prepared_simulator(
+    leader, restored, captured, blob = _prepared_simulator(
         configs[0], checkpoint_root)
     if not leader.supports_checkpoint:
         raise BatchDeclined("trace is not replayable")
-    leader.prepare()
-    blob = leader.capture_warm_state()
+    if blob is None:
+        leader.prepare()
+        blob = leader.capture_warm_state()
 
     proc0 = leader.processor
     store = RunAxisStore(

@@ -182,34 +182,37 @@ class GroupOutcome:
 
 def _prepared_simulator(config: SimulationConfig,
                         checkpoint_root: Optional[str]
-                        ) -> Tuple[Simulator, bool, bool]:
+                        ) -> Tuple[Simulator, bool, bool, Optional[bytes]]:
     """Build a simulator, restoring or capturing a warm checkpoint.
 
-    Returns ``(simulator, restored, captured)``.  Any checkpoint
-    problem — unkeyable config, corrupt blob, non-replayable trace —
-    silently falls back to a fresh warm-up: checkpointing is an
-    optimization, never a correctness dependency.
+    Returns ``(simulator, restored, captured, blob)``, where ``blob``
+    is the warm state the simulator was restored from or captured
+    into the store (``None`` when no checkpoint was involved).  Any
+    checkpoint problem — unkeyable config, corrupt blob,
+    non-replayable trace — silently falls back to a fresh warm-up:
+    checkpointing is an optimization, never a correctness dependency.
     """
     if checkpoint_root is None:
-        return Simulator(config), False, False
+        return Simulator(config), False, False, None
     store = CheckpointStore(checkpoint_root)
     try:
         key = checkpoint_key(config)
     except TypeError:
-        return Simulator(config), False, False
+        return Simulator(config), False, False, None
     blob = store.get(key)
     if blob is not None:
         try:
-            return Simulator.from_checkpoint(config, blob), True, False
+            return (Simulator.from_checkpoint(config, blob),
+                    True, False, blob)
         except CheckpointError:
             pass  # unreadable or stale entry: fresh warm-up below
     simulator = Simulator(config)
-    captured = False
-    if simulator.supports_checkpoint:
-        simulator.prepare()
-        store.put(key, simulator.capture_warm_state())
-        captured = True
-    return simulator, False, captured
+    if not simulator.supports_checkpoint:
+        return simulator, False, False, None
+    simulator.prepare()
+    blob = simulator.capture_warm_state()
+    store.put(key, blob)
+    return simulator, False, True, blob
 
 
 def _execute_config(config: SimulationConfig,
@@ -222,7 +225,7 @@ def _execute_config(config: SimulationConfig,
     ``checkpoint_root`` the run restores the cell's warm checkpoint if
     present, or captures it after a fresh warm-up.
     """
-    simulator, restored, captured = _prepared_simulator(
+    simulator, restored, captured, _ = _prepared_simulator(
         config, checkpoint_root)
     result = simulator.run()
     sanitizer = simulator.sanitizer

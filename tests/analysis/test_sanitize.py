@@ -1,12 +1,18 @@
 """Tests for the runtime sanitizer: clean runs stay silent, tampering
 with any watched invariant raises immediately."""
 
+import dataclasses
+from dataclasses import replace
+
 import pytest
 
 from repro.analysis.sanitize import (Sanitizer, SanitizerError,
                                      sanitize_enabled)
+from repro.core.policies import ALUPolicy, TechniqueConfig
+from repro.pipeline.alu import FunctionalUnit
 from repro.pipeline.isa import MicroOp, OpClass
 from repro.sim.runner import SimulationConfig, Simulator, run_simulation
+from repro.thermal.floorplan import FloorplanVariant
 
 
 def small_config(**overrides):
@@ -125,20 +131,76 @@ class TestRegfileCoherence:
 
 
 class TestIssueToOffUnit:
+    """Busy flags change only at boundaries, so the check runs there:
+    a unit busy after one boundary must show no new ops at the next."""
+
     def test_start_on_busy_unit_raises(self):
+        """A unit held busy across a boundary that then receives an op
+        fails the next boundary."""
         sim = Simulator(small_config())
         unit = sim.processor.int_alus[0]
         unit.set_busy(True)
-        op = MicroOp(0, OpClass.INT_ALU, dst=1, src1=2, src2=3)
-        with pytest.raises(SanitizerError, match="issue_to_off_unit"):
-            unit.start(op, rob_index=0, now=0)
-
-    def test_start_on_free_unit_passes(self):
-        sim = Simulator(small_config())
-        unit = sim.processor.int_alus[0]
+        sim.dtm.on_sample(sim.processor)
+        assert unit.busy
         op = MicroOp(0, OpClass.INT_ALU, dst=1, src1=2, src2=3)
         unit.start(op, rob_index=0, now=0)
-        assert sim.sanitizer.stats.issue_checks == 1
+        with pytest.raises(SanitizerError, match="issue_to_off_unit"
+                           ) as raised:
+            sim.dtm.on_sample(sim.processor)
+        assert "IntExec0 received 1 uop(s)" in str(raised.value)
+
+    def test_start_on_free_unit_passes(self, monkeypatch):
+        """A unit the boundary releases may take ops in the next
+        interval."""
+        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+        sim = Simulator(small_config(sanitize=False))
+        unit = sim.processor.int_alus[0]
+        dtm_on_sample = sim.dtm.on_sample
+
+        def release_at_boundary(proc):
+            dtm_on_sample(proc)
+            unit.set_busy(False)
+
+        sim.dtm.on_sample = release_at_boundary
+        unit.set_busy(True)
+        sanitizer = Sanitizer()
+        sanitizer.attach(sim)
+        sim.dtm.on_sample(sim.processor)
+        op = MicroOp(0, OpClass.INT_ALU, dst=1, src1=2, src2=3)
+        unit.start(op, rob_index=0, now=0)
+        sim.dtm.on_sample(sim.processor)
+        assert sanitizer.stats.violations == []
+
+    def test_issue_checks_count_units_per_boundary(self):
+        sim = Simulator(small_config())
+        n_units = len(sim.processor._all_units)
+        for boundary in range(1, 4):
+            sim.dtm.on_sample(sim.processor)
+            assert sim.sanitizer.stats.issue_checks == boundary * n_units
+
+
+class TestProductionPath:
+    def test_sanitized_kernel_never_calls_unit_start(self, monkeypatch):
+        """A sanitized run executes the kernel's own issue code: with
+        ``FunctionalUnit.start`` raising, a hot fine-grain run that
+        turns ALUs off completes, equal to the unsanitized run."""
+        monkeypatch.setenv("REPRO_KERNEL", "1")
+        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+
+        def start(*args, **kwargs):
+            raise AssertionError("FunctionalUnit.start called")
+
+        monkeypatch.setattr(FunctionalUnit, "start", start)
+        config = small_config(
+            benchmark="perlbmk", variant=FloorplanVariant.ALU,
+            techniques=TechniqueConfig(alus=ALUPolicy.FINE_GRAIN),
+            max_cycles=6_000, warmup_cycles=2_000)
+        plain = run_simulation(replace(config, sanitize=False))
+        sim = Simulator(config)
+        checked = sim.run()
+        assert checked.alu_turnoffs > 0
+        assert sim.sanitizer.stats.issue_checks > 0
+        assert dataclasses.asdict(checked) == dataclasses.asdict(plain)
 
 
 class TestErrorShape:

@@ -82,7 +82,7 @@ class TestTiming:
 
 
 class TestBusyFlag:
-    def test_set_busy_counts_turnoffs(self):
+    def test_set_busy_tallies_turnoff_events(self):
         unit = alu()
         unit.set_busy(True)
         unit.set_busy(True)  # idempotent: still one event

@@ -216,6 +216,26 @@ class TestBatchIdentity:
         assert_all_identical(cold, warm)
         assert warm_engine.stats.batched_runs == len(configs)
 
+    def test_leader_warm_state_pickled_once(self, monkeypatch, tmp_path):
+        """A group's followers restore the blob the leader's store
+        entry holds: its warm state is serialized once with a cold
+        store and not at all with a warm one."""
+        configs = fig8_grid()
+        per_run, _ = run_grid(monkeypatch, configs, batch="0")
+        captures = []
+        capture = Simulator.capture_warm_state
+
+        def spy(sim):
+            captures.append(sim.config)
+            return capture(sim)
+
+        monkeypatch.setattr(Simulator, "capture_warm_state", spy)
+        for expected in (1, 0):
+            captures.clear()
+            outcomes = run_group(configs, str(tmp_path))
+            assert len(captures) == expected
+            assert_all_identical([o.result for o in outcomes], per_run)
+
 
 class TestSeparability:
     """Per-run observability survives batching: each run's metrics
@@ -374,7 +394,6 @@ def install_gating_schedule(monkeypatch, schedule):
         flag = schedule.get((proc.now, pos))
         if flag is not None and proc.fp_adders[-1].busy != flag:
             proc.fp_adders[-1].busy = flag
-            proc._busy_count[0] += 1 if flag else -1
 
     orig_boundary = batch_mod._sample_boundary
 

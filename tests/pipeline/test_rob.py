@@ -25,14 +25,16 @@ class TestActiveList:
         with pytest.raises(RuntimeError):
             rob.allocate(entry(2))
 
-    def test_commit_ready_stops_at_incomplete(self):
+    def test_ready_count_stops_at_incomplete(self):
         rob = ActiveList(4)
         for i in range(3):
             rob.allocate(entry(i))
         rob.mark_done(0)
         rob.mark_done(2)  # out of order completion
-        ready = rob.commit_ready()
-        assert [e.op.seq for e in ready] == [0]
+        assert rob.ready_count(4) == 1
+        rob.mark_done(1)
+        assert rob.ready_count(4) == 3
+        assert rob.ready_count(2) == 2  # capped at the commit width
 
     def test_retire_in_order(self):
         rob = ActiveList(4)

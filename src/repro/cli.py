@@ -11,8 +11,6 @@ Examples::
 from __future__ import annotations
 
 import argparse
-import cProfile
-import pstats
 import signal
 import sys
 import time
@@ -176,9 +174,9 @@ def _cmd_cache(args: argparse.Namespace) -> int:
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
-    """Profile one simulation under cProfile and print hot spots, then
-    run it again unprofiled under a SIGPROF sampler and print how the
-    kernel's time splits by pipeline stage (``repro.obs.stages``)."""
+    """Run one simulation under a SIGPROF sampler and print its IPC,
+    its wall-clock stage breakdown, and how the kernel's time splits
+    by pipeline stage (``repro.obs.stages``)."""
     config = SimulationConfig(
         benchmark=args.benchmark,
         variant=FloorplanVariant(args.variant),
@@ -186,24 +184,24 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         warmup_cycles=args.warmup,
         seed=args.seed)
     simulator = Simulator(config)
-    profiler = cProfile.Profile()
-    result = profiler.runcall(simulator.run)
-    stats = pstats.Stats(profiler, stream=sys.stdout)
-    stats.strip_dirs().sort_stats("cumulative").print_stats(args.top)
+    sampled = hasattr(signal, "setitimer")
+    cpu_s = time.process_time()
+    if sampled:
+        result, counts = obs_stages.sample_stages(simulator.run)
+    else:
+        result = simulator.run()
+    cpu_s = time.process_time() - cpu_s
     print(f"IPC {result.ipc:.3f} over {result.cycles} measured cycles")
     total = sum(simulator.stage_times.values()) or 1.0
     print("stage wall-clock breakdown:")
     for name, seconds in sorted(simulator.stage_times.items()):
         print(f"  {name:10s} {seconds:8.3f}s ({seconds / total:5.1%})")
-    if not hasattr(signal, "setitimer"):
+    if not sampled:
         print("kernel stage split: needs signal.setitimer (POSIX)")
         return 0
-    cpu_s = time.process_time()
-    _, counts = obs_stages.sample_stages(Simulator(config).run)
-    cpu_s = time.process_time() - cpu_s
     samples = sum(counts.values())
-    print(f"kernel stage split (unprofiled re-run, {samples} SIGPROF "
-          f"samples over {cpu_s:.2f}s of CPU; approximate):")
+    print(f"kernel stage split ({samples} SIGPROF samples over "
+          f"{cpu_s:.2f}s of CPU; approximate):")
     for label in [*obs_stages.stage_labels(), obs_stages.NO_LINE,
                   obs_stages.OUTSIDE]:
         share = counts[label] / samples if samples else 0.0
@@ -290,19 +288,16 @@ def build_parser() -> argparse.ArgumentParser:
     cache_p.set_defaults(func=_cmd_cache)
 
     profile_p = sub.add_parser(
-        "profile", help="profile one simulation run (cProfile) and "
-                        "print the hottest functions, the per-stage "
-                        "wall-clock breakdown, and the kernel's "
-                        "sampled split by pipeline stage")
+        "profile", help="run one simulation under a SIGPROF sampler "
+                        "and print its IPC, its per-stage wall-clock "
+                        "breakdown, and the kernel's sampled split by "
+                        "pipeline stage")
     profile_p.add_argument("benchmark", choices=BENCHMARK_NAMES)
     profile_p.add_argument("--variant", default="base",
                            choices=[v.value for v in FloorplanVariant])
     profile_p.add_argument("--cycles", type=int, default=60_000)
     profile_p.add_argument("--warmup", type=int, default=12_000)
     profile_p.add_argument("--seed", type=int, default=1)
-    profile_p.add_argument("--top", type=int, default=25,
-                           help="functions to print, by cumulative "
-                                "time (default: 25)")
     profile_p.set_defaults(func=_cmd_profile)
 
     lint_p = sub.add_parser(

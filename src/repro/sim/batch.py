@@ -13,18 +13,14 @@ runs that execute identically share one macro-stepped execution, and
 power/thermal sampling crosses the run axis in one batched call per
 boundary.
 
-The batch path *declines* work it cannot prove equivalent:
-
-* sanitized runs (the sanitizer's boundary checks read live pipeline
-  objects, which a follower does not keep current),
-* traced runs (``TraceCollector`` events must interleave exactly as a
-  solo run would emit them),
-* groups of one (nothing to share), and
-* runs whose trace cannot be replayed from a repositionable cursor.
-
-Declined runs flow through the existing per-run kernel unchanged, and
-``REPRO_BATCH=0`` declines everything — the three execution paths
-(batched, per-run kernel, ``REPRO_KERNEL=0`` reference loop) produce
+Every pending run joins the group of its key; a run whose key no
+other pending run shares runs on the per-run kernel, and
+``REPRO_BATCH=0`` groups nothing.  Sanitized and traced runs batch
+too: each run of a group keeps its own accountant, thermal model,
+DTM, sanitizer and ``TraceCollector``, and batched sampling calls each
+run's own ``sample_powers``, ``step_vector`` and ``on_sample``, which
+the sanitizer shadows.  The three execution paths (batched, per-run
+kernel, ``REPRO_KERNEL=0`` reference loop) produce
 ``dataclasses.asdict``-identical per-run results, which
 ``tests/pipeline/test_batch.py`` asserts across the figure matrix.
 
@@ -41,17 +37,11 @@ from typing import Dict, List, Optional, Sequence
 
 from ..analysis.sanitize import sanitize_enabled
 from ..core.policies import IssueQueuePolicy
-from ..obs.collector import trace_enabled
 from ..pipeline.kernel import BatchRun, BatchStats, run_batch
 from ..pipeline.soa import RunAxisStore
 from .checkpoint import _stable, checkpoint_key
-from .parallel import (GroupOutcome, WorkerOutcome, _execute_config,
-                       _prepared_simulator)
+from .parallel import GroupOutcome, WorkerOutcome, _prepared_simulator
 from .runner import SimulationConfig, Simulator, _gc_paused
-
-
-class BatchDeclined(Exception):
-    """The group cannot run batched; fall back to per-run execution."""
 
 
 def _reads_pipeline(config: SimulationConfig) -> bool:
@@ -70,41 +60,32 @@ def batch_key(config: SimulationConfig) -> str:
     fields); the cycle budget, the floorplan and the full thermal
     configuration are appended because lock-step execution needs one
     boundary schedule, and batched sampling stacks per-run power
-    vectors, which only runs of one floorplan can share.  Raises
-    ``TypeError`` for configs :func:`checkpoint_key` cannot key.
+    vectors, which only runs of one floorplan can share.  The effective
+    sanitize state is appended so a sanitized run never follows an
+    unsanitized leader: a follower's queue check reads only the state
+    it restored, and the shared execution is checked by its leader.
     """
     payload = {
         "warm": checkpoint_key(config),
         "max_cycles": config.max_cycles,
         "floorplan": config.variant.value,
         "thermal": _stable(config.thermal),
+        "sanitize": bool(config.sanitize or sanitize_enabled()),
     }
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
-def _eligible(config: SimulationConfig) -> bool:
-    return not (config.sanitize or sanitize_enabled()
-                or config.trace_events or trace_enabled())
 
 
 def plan_groups(configs: Sequence[SimulationConfig],
                 pending: Sequence[int]) -> List[List[int]]:
     """Partition pending run indices into batchable groups (size >= 2).
 
-    Indices not covered by a returned group — ineligible runs and
-    groups of one — stay with the caller's per-run path.  Submission
-    order is preserved within each group.
+    Indices not covered by a returned group (groups of one) stay with
+    the caller's per-run path.  Submission order is preserved within
+    each group.
     """
     buckets: Dict[str, List[int]] = {}
     for i in pending:
-        config = configs[i]
-        if not _eligible(config):
-            continue
-        try:
-            key = batch_key(config)
-        except TypeError:
-            continue
-        buckets.setdefault(key, []).append(i)
+        buckets.setdefault(batch_key(configs[i]), []).append(i)
     return [group for group in buckets.values() if len(group) >= 2]
 
 
@@ -112,22 +93,17 @@ def run_group(configs: Sequence[SimulationConfig],
               checkpoint_root: Optional[str] = None,
               stats: Optional[BatchStats] = None
               ) -> List[WorkerOutcome]:
-    """Execute one batch-compatible group, batched.
+    """Execute one group of runs with equal :func:`batch_key`, batched.
 
     The first run warms up (or restores the cell's on-disk warm
     checkpoint); every other run restores the same warm state from
     that blob, which is the bit-identity-preserving follower
     construction the checkpoint subsystem already guarantees.  The
     leader's warm state is serialized once: here only when no store
-    is in use.  Raises :class:`BatchDeclined` when the group turns out
-    not to be batchable (non-replayable trace).
+    is in use.
     """
-    if len(configs) < 2:
-        raise BatchDeclined("nothing to batch")
     leader, restored, captured, blob = _prepared_simulator(
         configs[0], checkpoint_root)
-    if not leader.supports_checkpoint:
-        raise BatchDeclined("trace is not replayable")
     if blob is None:
         leader.prepare()
         blob = leader.capture_warm_state()
@@ -164,19 +140,10 @@ def run_group(configs: Sequence[SimulationConfig],
 def execute_group(configs: Sequence[SimulationConfig],
                   checkpoint_root: Optional[str] = None) -> GroupOutcome:
     """Engine task entry point: run one group where it lands (a pool
-    worker, or the engine's own process).
-
-    A group that declines batching runs its members one by one
-    through the default per-run path here instead, so the task still
-    finishes as a unit.
-    """
+    worker, or the engine's own process)."""
     stats = BatchStats()
-    try:
-        return GroupOutcome(run_group(configs, checkpoint_root,
-                                      stats=stats), stats)
-    except BatchDeclined:
-        return GroupOutcome([_execute_config(config, checkpoint_root)
-                             for config in configs], None)
+    return GroupOutcome(run_group(configs, checkpoint_root, stats=stats),
+                        stats)
 
 
 def _sample_boundary(sims: Sequence[Simulator],

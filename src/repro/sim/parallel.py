@@ -35,8 +35,8 @@ when another task of the same submission captures the warm
 checkpoint it needs; a checkpoint already on disk is no dependency.
 
 Sanitized runs compose: with ``REPRO_SANITIZE=1`` each worker process
-installs the runtime sanitizer inside its own simulator and reports
-the number of checks performed back to the parent's
+installs the runtime sanitizer inside its own simulators, batched or
+not, and reports the number of checks performed back to the parent's
 :class:`EngineStats`.
 """
 
@@ -54,6 +54,7 @@ from pathlib import Path
 from typing import (Callable, Dict, List, Optional, Sequence, Tuple, Union)
 
 from ..analysis.sanitize import sanitize_enabled
+from ..obs.collector import trace_enabled
 from ..obs.metrics import MetricsRegistry
 from ..pipeline.kernel import BatchStats, batch_enabled
 from .checkpoint import (CacheInfo, CheckpointError, CheckpointStore,
@@ -98,13 +99,15 @@ def config_key(config: SimulationConfig,
                fingerprint: Optional[str] = None) -> str:
     """Content hash identifying one run: config + code version.
 
-    The effective sanitize state is part of the key so a sanitized run
-    is never answered from an unsanitized run's cache entry.
+    The effective sanitize and trace states are part of the key, so a
+    sanitized or traced run is never answered from a plain run's cache
+    entry, nor the other way round.
     """
     payload = {
         "config": _stable(config),
         "code": code_fingerprint() if fingerprint is None else fingerprint,
         "sanitize": bool(config.sanitize or sanitize_enabled()),
+        "trace": bool(config.trace_events or trace_enabled()),
     }
     text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode()).hexdigest()
@@ -173,11 +176,10 @@ class WorkerOutcome:
 @dataclass(frozen=True)
 class GroupOutcome:
     """What one batch-group task sends back: one outcome per run, in
-    group order, and the group's divergence accounting (``None`` when
-    the group declined batching and ran run by run)."""
+    group order, and the group's divergence accounting."""
 
     outcomes: List[WorkerOutcome]
-    batch: Optional[BatchStats]
+    batch: BatchStats
 
 
 def _prepared_simulator(config: SimulationConfig,
@@ -187,18 +189,14 @@ def _prepared_simulator(config: SimulationConfig,
 
     Returns ``(simulator, restored, captured, blob)``, where ``blob``
     is the warm state the simulator was restored from or captured
-    into the store (``None`` when no checkpoint was involved).  Any
-    checkpoint problem — unkeyable config, corrupt blob,
-    non-replayable trace — silently falls back to a fresh warm-up:
-    checkpointing is an optimization, never a correctness dependency.
+    into the store (``None`` when no store is in use).  A corrupt or
+    stale blob silently falls back to a fresh warm-up: checkpointing
+    is an optimization, never a correctness dependency.
     """
     if checkpoint_root is None:
         return Simulator(config), False, False, None
     store = CheckpointStore(checkpoint_root)
-    try:
-        key = checkpoint_key(config)
-    except TypeError:
-        return Simulator(config), False, False, None
+    key = checkpoint_key(config)
     blob = store.get(key)
     if blob is not None:
         try:
@@ -207,8 +205,6 @@ def _prepared_simulator(config: SimulationConfig,
         except CheckpointError:
             pass  # unreadable or stale entry: fresh warm-up below
     simulator = Simulator(config)
-    if not simulator.supports_checkpoint:
-        return simulator, False, False, None
     simulator.prepare()
     blob = simulator.capture_warm_state()
     store.put(key, blob)
@@ -437,10 +433,9 @@ class ExperimentEngine:
         A task whose warm checkpoint another, earlier task of this
         submission captures is a *follower*: it runs in the second
         wave and restores instead of redundantly warming up in
-        parallel with its leader.  A checkpoint already on disk, or a
-        config that has no checkpoint key, is no dependency.  Every
-        run of a task shares one checkpoint key (groups are keyed by
-        it), so the first run stands for the task.
+        parallel with its leader.  A checkpoint already on disk is no
+        dependency.  Every run of a task shares one checkpoint key
+        (groups are keyed by it), so the first run stands for the task.
         """
         if self.checkpoints is None:
             return [list(tasks)]
@@ -448,11 +443,7 @@ class ExperimentEngine:
         followers: List[Task] = []
         claimed: set = set()
         for task in tasks:
-            try:
-                key = checkpoint_key(configs[task[0]])
-            except TypeError:
-                leaders.append(task)
-                continue
+            key = checkpoint_key(configs[task[0]])
             if key in claimed:
                 followers.append(task)
                 continue

@@ -102,7 +102,8 @@ class SimulationConfig:
     #: so results stay bit-identical and the hot path unchanged.
     #: ``REPRO_TRACE=1`` in the environment enables it regardless of
     #: this flag.  Excluded from the warm-checkpoint key (tracing does
-    #: not affect the warmed state); included in the result-cache key.
+    #: not affect the warmed state); the result-cache key holds the
+    #: effective tracing state, this flag or ``REPRO_TRACE``.
     trace_events: bool = False
 
     def label(self) -> str:
@@ -219,12 +220,6 @@ class Simulator:
     # ------------------------------------------------------------------
     # warm-state checkpointing
     # ------------------------------------------------------------------
-    @property
-    def supports_checkpoint(self) -> bool:
-        """Checkpoints need a repositionable trace; custom iterator
-        traces passed to :meth:`__init__` cannot be replayed."""
-        return isinstance(self.processor.fetch.trace, ReplayTrace)
-
     def capture_warm_state(self) -> bytes:
         """Serialize the post-warm-up state into a checkpoint blob.
 

@@ -1,4 +1,4 @@
-"""Batched grid execution: identity, grouping, decline, throughput.
+"""Batched grid execution: identity, grouping, throughput.
 
 The batched kernel path (``repro.sim.batch`` + ``run_batch`` in
 ``repro.pipeline.kernel``) locks a whole technique grid of one
@@ -7,7 +7,8 @@ for per-run execution: every run's :class:`SimulationResult` —
 counters, metrics, timelines, energies — ``dataclasses.asdict``-equal
 to both the per-run kernel (``REPRO_BATCH=0``) and the reference
 per-cycle loop (``REPRO_KERNEL=0``), across the figure-6/7/8 grids,
-with sanitize/trace declines and checkpoint restores in the mix.
+sanitized and traced as well as plain, with checkpoint restores in
+the mix.
 """
 
 import dataclasses
@@ -18,6 +19,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.analysis.sanitize import SanitizerError
 from repro.core.mapping import MappingKind
 from repro.core.policies import (ALUPolicy, IssueQueuePolicy,
                                  RegFilePolicy, TechniqueConfig)
@@ -77,11 +79,15 @@ def fig8_grid(benchmark="gzip", **overrides):
 GRIDS = {"fig6": fig6_grid, "fig7": fig7_grid, "fig8": fig8_grid}
 
 
-def run_grid(monkeypatch, configs, batch="1", kernel="1", jobs=1):
+def run_grid(monkeypatch, configs, batch="1", kernel="1", jobs=1,
+             checkpoints=None):
+    """Run ``configs`` uncached; with a ``checkpoints`` root the engine
+    keeps its warm checkpoints there, otherwise it keeps none."""
     monkeypatch.setenv("REPRO_BATCH", batch)
     monkeypatch.setenv("REPRO_KERNEL", kernel)
     engine = ExperimentEngine(jobs=jobs, use_cache=False,
-                              use_checkpoints=False)
+                              checkpoints=checkpoints,
+                              use_checkpoints=checkpoints is not None)
     return engine.run_many(configs), engine.stats
 
 
@@ -117,11 +123,21 @@ class TestPlanGroups:
         # group holds only fine-grain + base.
         assert sorted(sorted(g) for g in groups) == [[1, 2], [4, 5]]
 
-    def test_singletons_and_ineligible_stay_out(self):
-        configs = [config("gzip"), config("mesa"),
-                   config("gzip", sanitize=True),
-                   config("gzip", trace_events=True)]
-        assert plan_groups(configs, range(len(configs))) == []
+    def test_sanitized_runs_group_apart(self):
+        """Sanitized and plain runs of one key form separate groups (a
+        sanitized run never follows an unsanitized leader); tracing is
+        no key field, and a run whose key is alone stays out."""
+        configs = [config("gzip"), config("gzip", sanitize=True),
+                   config("mesa"), config("gzip", trace_events=True),
+                   config("gzip", sanitize=True)]
+        assert plan_groups(configs, range(len(configs))) == [[0, 3],
+                                                             [1, 4]]
+        assert batch_key(configs[0]) != batch_key(configs[1])
+
+    def test_sanitize_env_joins_the_sanitized_group(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SANITIZE", "1")
+        configs = [config("gzip"), config("gzip", sanitize=True)]
+        assert plan_groups(configs, range(len(configs))) == [[0, 1]]
 
     def test_only_pending_indices_considered(self):
         configs = fig8_grid() + fig8_grid("mesa")
@@ -262,32 +278,111 @@ class TestSeparability:
         assert any(p != payloads[0] for p in payloads[1:])
 
 
-class TestDecline:
-    """Ineligible work flows through the per-run path unchanged."""
+def flagged_grid(monkeypatch, name, flag):
+    """Grid ``name`` with ``flag`` raised: a config field, or an
+    environment variable set for the rest of the test."""
+    if flag.startswith("REPRO_"):
+        monkeypatch.setenv(flag, "1")
+        return GRIDS[name]()
+    return GRIDS[name](**{flag: True})
 
-    @pytest.mark.parametrize("flag", ["sanitize", "trace_events"])
-    def test_flagged_configs_decline(self, monkeypatch, flag):
-        configs = fig8_grid(**{flag: True})
-        flagged, stats = run_grid(monkeypatch, configs, batch="1")
-        assert stats.batched_runs == 0
-        serial, _ = run_grid(monkeypatch, configs, batch="0")
-        assert_all_identical(flagged, serial)
 
-    @pytest.mark.parametrize("env, value", [
-        ("REPRO_SANITIZE", "1"), ("REPRO_TRACE", "1")])
-    def test_env_flags_decline(self, monkeypatch, env, value):
-        monkeypatch.setenv(env, value)
-        _, stats = run_grid(monkeypatch, fig8_grid(), batch="1")
-        assert stats.batched_runs == 0
+def checkpoint_restores(result):
+    return result.metrics.get("trace.events.checkpoint_restore",
+                              {}).get("value", 0)
 
-    def test_mixed_grid_splits(self, monkeypatch):
-        """A grid mixing eligible and sanitized runs batches the
-        former and falls back for the latter, with identical output."""
-        configs = fig8_grid() + [config("gzip", sanitize=True)]
-        mixed, stats = run_grid(monkeypatch, configs, batch="1")
-        assert stats.batched_runs == 4
-        serial, _ = run_grid(monkeypatch, configs, batch="0")
+
+class TestFlaggedGrids:
+    """Sanitized and traced runs batch like plain ones: each run of a
+    group keeps its own sanitizer and trace collector, and batched
+    sampling calls each run's own sampling and DTM hooks.  A batched
+    follower is built from its leader's warm blob, and a traced run
+    counts that restore, so every comparison here gives each side a
+    fresh checkpoint store."""
+
+    #: Runs each grid batches: figure 7's round-robin runs warm apart
+    #: from the rest, one per benchmark, and run alone.
+    BATCHED = {"fig6": 4, "fig7": 4, "fig8": 4}
+
+    @pytest.mark.parametrize("flag", ["sanitize", "trace_events",
+                                      "REPRO_SANITIZE", "REPRO_TRACE"])
+    @pytest.mark.parametrize("name", sorted(GRIDS))
+    def test_flagged_grid_batches(self, monkeypatch, tmp_path, name,
+                                  flag):
+        configs = flagged_grid(monkeypatch, name, flag)
+        batched, stats = run_grid(monkeypatch, configs,
+                                  checkpoints=tmp_path / "batched")
+        per_run, off = run_grid(monkeypatch, configs, batch="0",
+                                checkpoints=tmp_path / "per-run")
+        reference, ref = run_grid(monkeypatch, configs, batch="0",
+                                  kernel="0",
+                                  checkpoints=tmp_path / "reference")
+        assert stats.batched_runs == self.BATCHED[name]
+        assert off.batched_runs == 0
+        assert_all_identical(batched, per_run)
+        assert_all_identical(batched, reference)
+        assert (stats.sanitizer_checks == off.sanitizer_checks
+                == ref.sanitizer_checks)
+        assert stats.sanitized_runs == off.sanitized_runs
+        sanitized = flag in ("sanitize", "REPRO_SANITIZE")
+        assert (stats.sanitizer_checks > 0) is sanitized
+        if not sanitized:
+            assert sum(checkpoint_restores(r) for r in batched) > 0
+
+    def test_follower_traces_its_restore(self, monkeypatch, tmp_path):
+        """Without a store, a batched follower still restores from its
+        leader's blob and counts one restore, where a per-run run
+        counts none; with a store each side restores the same runs."""
+        configs = fig8_grid(trace_events=True)
+        batched, _ = run_grid(monkeypatch, configs)
+        per_run, _ = run_grid(monkeypatch, configs, batch="0")
+        assert [checkpoint_restores(r) for r in batched] == [0, 1, 1, 1]
+        assert [checkpoint_restores(r) for r in per_run] == [0, 0, 0, 0]
+        stored, _ = run_grid(monkeypatch, configs, batch="0",
+                             checkpoints=tmp_path)
+        assert_all_identical(batched, stored)
+
+    def test_mixed_grid(self, monkeypatch, tmp_path):
+        """Plain, sanitized and traced runs of one forking benchmark in
+        one submission: the sanitized ones batch as a group of their
+        own, the traced one joins the plain group and forks off its
+        untraced leader."""
+        configs = (fig8_grid("perlbmk")[:2]
+                   + fig8_grid("perlbmk", sanitize=True)[2:]
+                   + fig8_grid("perlbmk", trace_events=True)[3:])
+        mixed, stats = run_grid(monkeypatch, configs,
+                                checkpoints=tmp_path / "batched")
+        assert (stats.batch_groups, stats.batched_runs) == (2, 5)
+        # Each run without turnoff forks off its group's leader once
+        # the leader turns a copy off: two in the plain group (the
+        # traced run among them), one in the sanitized group.
+        assert stats.fork_count == 3
+        assert stats.sanitized_runs == 2
+        serial, off = run_grid(monkeypatch, configs, batch="0",
+                               checkpoints=tmp_path / "per-run")
         assert_all_identical(mixed, serial)
+        assert stats.sanitizer_checks == off.sanitizer_checks > 0
+
+    def test_tampered_kernel_fails_inside_run_batch(self, monkeypatch):
+        """The sanitizer checks batched execution: a kernel that
+        credits one op to a turned-off ALU per chunk fails a sanitized
+        figure-7 grid with ``issue_to_off_unit`` raised from inside
+        ``run_batch``."""
+        run_chunk = kernel_mod._run_chunk
+
+        def tampered(proc, n_cycles):
+            ran, finished = run_chunk(proc, n_cycles)
+            for unit in proc.int_alus:
+                if unit.busy:
+                    unit.counters.ops += 1
+                    break
+            return ran, finished
+
+        monkeypatch.setattr(kernel_mod, "_run_chunk", tampered)
+        with pytest.raises(SanitizerError,
+                           match="issue_to_off_unit") as info:
+            run_grid(monkeypatch, fig7_grid(sanitize=True))
+        assert any(entry.name == "run_batch" for entry in info.traceback)
 
 
 class TestEngineBookkeeping:

@@ -159,7 +159,6 @@ class TestCapture:
         from repro.workloads.spec2000 import workload
         simulator = Simulator(small_config(),
                               trace=workload("gzip", seed=1))
-        assert not simulator.supports_checkpoint
         simulator.prepare()
         with pytest.raises(CheckpointError, match="replayable"):
             simulator.capture_warm_state()

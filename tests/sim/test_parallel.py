@@ -108,6 +108,13 @@ class TestConfigKey:
         monkeypatch.setenv("REPRO_SANITIZE", "1")
         assert config_key(config) != plain
 
+    def test_sensitive_to_trace_env(self, monkeypatch):
+        config = small_config()
+        monkeypatch.delenv("REPRO_TRACE", raising=False)
+        plain = config_key(config)
+        monkeypatch.setenv("REPRO_TRACE", "1")
+        assert config_key(config) != plain
+
 
 # ---------------------------------------------------------------------------
 # serial / parallel equivalence
@@ -155,6 +162,22 @@ class TestResultCache:
         assert engine.stats.cache_hit_rate == 0.5
         for one, other in zip(first, second):
             assert dataclasses.asdict(one) == dataclasses.asdict(other)
+
+    def test_env_traced_entry_does_not_answer_plain_run(
+            self, monkeypatch, tmp_path):
+        """A run traced through ``REPRO_TRACE`` carries trace metrics,
+        so the same config untraced misses its entry and comes back
+        equal to a fresh untraced run."""
+        config = small_config()
+        cache = ResultCache(tmp_path)
+        monkeypatch.setenv("REPRO_TRACE", "1")
+        ExperimentEngine(jobs=1, cache=cache).run_many([config])
+        monkeypatch.delenv("REPRO_TRACE")
+        engine = ExperimentEngine(jobs=1, cache=cache)
+        plain = engine.run_many([config])[0]
+        assert engine.stats.cache_hits == 0
+        fresh = ExperimentEngine(jobs=1, use_cache=False).run_one(config)
+        assert dataclasses.asdict(plain) == dataclasses.asdict(fresh)
 
     def test_config_change_misses(self, tmp_path):
         engine = ExperimentEngine(jobs=1, cache=ResultCache(tmp_path))

@@ -8,6 +8,7 @@ import pytest
 from repro.cli import build_parser, main
 from repro.obs import stages
 from repro.obs.events import event_from_dict
+from repro.sim.runner import Simulator
 
 
 @pytest.fixture
@@ -79,14 +80,29 @@ class TestRunTracing:
 
 
 class TestProfile:
-    def test_profile_smoke(self, capsys):
+    def test_profile_smoke(self, capsys, monkeypatch):
         previous = signal.getsignal(signal.SIGPROF)
+        runs = []
+        run = Simulator.run
+
+        def counting_run(simulator):
+            runs.append(simulator)
+            return run(simulator)
+
+        monkeypatch.setattr(Simulator, "run", counting_run)
         code = main(["profile", "gzip", "--cycles", "2000",
-                     "--warmup", "1000", "--top", "5"])
+                     "--warmup", "1000"])
         assert code == 0
         out = capsys.readouterr().out
+        # One run, sampled: its IPC, its own stage times, no cProfile
+        # table.
+        assert len(runs) == 1
         assert "IPC" in out
-        assert "stage wall-clock breakdown" in out
+        assert "function calls" not in out
+        breakdown = out.split("stage wall-clock breakdown:", 1)[1]
+        names = [line.split()[0] for line in breakdown.splitlines()[1:4]]
+        assert names == sorted(runs[0].stage_times) == [
+            "measure_s", "sample_s", "warmup_s"]
         # The sampled kernel split: one line per stage marker in the
         # kernel source plus the unattributed and outside shares,
         # summing to about 100%; the sampler leaves no handler or
@@ -104,6 +120,10 @@ class TestProfile:
         assert sum(shares) == pytest.approx(100, abs=0.5)
         assert signal.getsignal(signal.SIGPROF) == previous
         assert signal.getitimer(signal.ITIMER_PROF) == (0.0, 0.0)
+
+    def test_top_flag_is_gone(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["profile", "gzip", "--top", "5"])
 
 
 class TestCache:

@@ -62,7 +62,14 @@ class SanitizerError(AssertionError):
 
     def __init__(self, invariant: str, message: str) -> None:
         self.invariant = invariant
+        self.message = message
         super().__init__(f"[{invariant}] {message}")
+
+    def __reduce__(self) -> Tuple[Any, Tuple[str, str]]:
+        # Unpickling calls the class with ``args`` (the one formatted
+        # string), which ``__init__`` cannot take; a violation raised in
+        # a pool worker must survive the trip back to the engine.
+        return type(self), (self.invariant, self.message)
 
 
 @dataclass

@@ -1,6 +1,6 @@
 """Observability subsystem: event tracing, metrics, and reports.
 
-Three layers, all off the simulator's hot path by default:
+Two layers, both off the simulator's hot path by default:
 
 * :mod:`repro.obs.events` — the typed event taxonomy (toggles, unit
   turnoffs, core stalls, ceiling crossings, checkpoint restores),
@@ -10,17 +10,18 @@ Three layers, all off the simulator's hot path by default:
   in-memory and JSONL export.  Tracing is **opt-in**
   (``SimulationConfig(trace_events=True)`` or ``REPRO_TRACE=1``); when
   off, every emission site is a single ``is not None`` check and runs
-  are bit-identical to an untraced build;
-* :mod:`repro.obs.metrics` — :class:`MetricsRegistry` of counters,
-  gauges, vectors and histograms that every run serializes into
-  :class:`~repro.sim.results.SimulationResult.metrics` and that
-  :class:`~repro.sim.parallel.ExperimentEngine` merges across workers
-  into fleet-level metrics.
+  are bit-identical to an untraced build.
+
+Metrics need no layer of their own: every run builds
+:attr:`~repro.sim.results.SimulationResult.metrics` at collection time
+as a plain dict of ``{"kind": ...}`` entries (vectors, counters, a
+gauge and a histogram; the field's comment lists them), and readers
+parse that dict directly.
 
 Report generation (:mod:`repro.obs.report`, the ``repro report`` CLI)
 is imported explicitly — not re-exported here — because it pulls in
 the experiment grids and would create an import cycle with
-:mod:`repro.sim.parallel`, which only needs the metrics layer.
+:mod:`repro.sim.parallel`, which imports the tracing layer.
 """
 
 from .collector import (QueueTracer, TraceCollector, UnitTracer,
@@ -28,8 +29,6 @@ from .collector import (QueueTracer, TraceCollector, UnitTracer,
 from .events import (EVENT_TYPES, CheckpointRestore, CoreResume, CoreStall,
                      ThermalCeilingCross, ToggleEvent, TraceEvent,
                      UnitTurnoff, UnitTurnon, event_from_dict)
-from .metrics import (Counter, Gauge, Histogram, MetricsRegistry,
-                      VectorCounter)
 from .sparkline import downsample, sparkline
 
 __all__ = [
@@ -37,6 +36,5 @@ __all__ = [
     "TraceEvent", "ToggleEvent", "UnitTurnoff", "UnitTurnon",
     "CoreStall", "CoreResume", "ThermalCeilingCross", "CheckpointRestore",
     "EVENT_TYPES", "event_from_dict",
-    "Counter", "Gauge", "VectorCounter", "Histogram", "MetricsRegistry",
     "sparkline", "downsample",
 ]

@@ -3,16 +3,18 @@
 ``repro report`` runs (or answers from the result cache) the Figure
 6–8 experiment grids and renders one document per invocation: a table
 per figure, the paper's summary statistics, metric summaries drawn
-from each run's :class:`~repro.obs.metrics.MetricsRegistry` payload,
-and one-line thermal sparklines from the downsampled timelines every
-result carries.  Because everything is read from
+from each run's plain :attr:`~repro.sim.results.SimulationResult.
+metrics` dict, one-line thermal sparklines from the downsampled
+timelines every result carries, and the fleet peak sensed temperature:
+the max of ``max_temps`` over the runs the figure sections render.
+Because everything is read from
 :class:`~repro.sim.results.SimulationResult` fields, a second
 invocation over a warm cache re-renders the whole report without
-simulating a single cycle.
+simulating a single cycle, and prints the same peak.
 
 This module is deliberately *not* re-exported from
 :mod:`repro.obs` — it imports the experiment grids (and through them
-:mod:`repro.sim.parallel`), which itself imports the metrics layer;
+:mod:`repro.sim.parallel`), which itself imports the tracing layer;
 keeping the package root free of report keeps that edge acyclic.
 """
 
@@ -207,7 +209,7 @@ def _grid_section(report: Report, results: Sequence[SimulationResult],
 # ---------------------------------------------------------------------------
 
 def _figure6(report: Report, experiment: IssueQueueExperiment,
-             ceiling_k: float) -> None:
+             ceiling_k: float) -> List[SimulationResult]:
     report.heading(2, "Figure 6 — issue queue: activity toggling")
     report.table(
         ("benchmark", "toggling IPC", "base IPC", "speedup"),
@@ -233,10 +235,11 @@ def _figure6(report: Report, experiment: IssueQueueExperiment,
                 f"({sample.benchmark}, toggling)", moves))
     report.paragraph(" ".join(lines))
     _grid_section(report, results, ceiling_k)
+    return results
 
 
 def _figure7(report: Report, experiment: ALUExperiment,
-             ceiling_k: float) -> None:
+             ceiling_k: float) -> List[SimulationResult]:
     report.heading(2, "Figure 7 — ALUs: fine-grain turnoff")
     report.table(
         ("benchmark", "round-robin IPC", "fine-grain IPC", "base IPC",
@@ -265,10 +268,11 @@ def _figure7(report: Report, experiment: ALUExperiment,
             f"({sample.benchmark}, base)", ops))
     report.paragraph(" ".join(lines))
     _grid_section(report, results, ceiling_k)
+    return results
 
 
 def _figure8(report: Report, experiment: RegFileExperiment,
-             ceiling_k: float) -> None:
+             ceiling_k: float) -> List[SimulationResult]:
     report.heading(2, "Figure 8 — register file: mapping x turnoff")
     report.table(
         ("benchmark", *RF_CONFIGS),
@@ -298,10 +302,13 @@ def _figure8(report: Report, experiment: RegFileExperiment,
             reads))
     report.paragraph(" ".join(lines))
     _grid_section(report, results, ceiling_k)
+    return results
 
 
-#: figure number -> (experiment runner, section renderer).
-FIGURES: Dict[str, Tuple[Callable[..., Any], Callable[..., None]]] = {
+#: figure number -> (experiment runner, section renderer); a renderer
+#: returns the runs its section covers.
+FIGURES: Dict[str, Tuple[Callable[..., Any],
+                         Callable[..., List[SimulationResult]]]] = {
     "6": (issue_queue_experiment, _figure6),
     "7": (alu_experiment, _figure7),
     "8": (regfile_experiment, _figure8),
@@ -331,9 +338,10 @@ def generate(figures: Sequence[str] = ("6", "7", "8"),
                               "engine": engine}
     if benchmarks is not None:
         kwargs["benchmarks"] = list(benchmarks)
+    rendered: List[SimulationResult] = []
     for figure in figures:
         runner, section = FIGURES[figure]
-        section(report, runner(**kwargs), ceiling_k)
+        rendered += section(report, runner(**kwargs), ceiling_k)
     stats = engine.stats
     report.heading(2, "Run accounting")
     report.paragraph(
@@ -353,11 +361,9 @@ def generate(figures: Sequence[str] = ("6", "7", "8"),
             f"Divergence accounting: {stats.fork_count} fork(s); "
             f"per-boundary execution-class occupancy: "
             f"{occupancy or 'n/a'}.")
-    fleet = stats.fleet_metrics
-    if "temp.peak_k" in fleet:
-        peak = fleet.gauge("temp.peak_k").value
-        if peak is not None:
-            report.paragraph(
-                f"Fleet peak sensed temperature: {peak:.1f} K "
-                f"(ceiling {ceiling_k:.1f} K).")
+    peaks = [max(r.max_temps.values()) for r in rendered if r.max_temps]
+    if peaks:
+        report.paragraph(
+            f"Fleet peak sensed temperature: {max(peaks):.1f} K "
+            f"(ceiling {ceiling_k:.1f} K).")
     return report

@@ -55,7 +55,6 @@ from typing import (Callable, Dict, List, Optional, Sequence, Tuple, Union)
 
 from ..analysis.sanitize import sanitize_enabled
 from ..obs.collector import trace_enabled
-from ..obs.metrics import MetricsRegistry
 from ..pipeline.kernel import BatchStats, batch_enabled
 from .checkpoint import (CacheInfo, CheckpointError, CheckpointStore,
                          _stable, checkpoint_key, checkpoints_enabled,
@@ -281,12 +280,6 @@ class EngineStats:
     #: checkpoint vs. runs that captured a fresh one.
     checkpoint_restores: int = 0
     checkpoint_captures: int = 0
-    #: Fleet-level aggregation of every returned result's serialized
-    #: metrics (fresh, parallel, *and* cache-hit runs), merged with
-    #: per-kind semantics — see :class:`repro.obs.metrics.
-    #: MetricsRegistry`.  Independent of worker count or cache state.
-    fleet_metrics: MetricsRegistry = field(
-        default_factory=MetricsRegistry)
 
     @property
     def cache_hit_rate(self) -> float:
@@ -395,7 +388,6 @@ class ExperimentEngine:
         for result in results:
             if result is None:  # pragma: no cover - engine invariant
                 raise RuntimeError("engine produced no result for a run")
-            self.stats.fleet_metrics.merge_dict(result.metrics)
             out.append(result)
         return out
 

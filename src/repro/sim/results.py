@@ -42,10 +42,28 @@ class SimulationResult:
     mean_temps: Dict[str, float]
     #: Maximum observed temperature per block (K).
     max_temps: Dict[str, float]
-    #: Serialized :class:`~repro.obs.metrics.MetricsRegistry` payload
-    #: (issue distribution, RF reads per copy, compaction moves, stall
-    #: breakdown).  A plain dict so results pickle/cache/JSON cleanly;
-    #: rebuild with ``MetricsRegistry.from_dict(result.metrics)``.
+    #: Collection-time metrics, a plain dict so results pickle, cache
+    #: and export as JSON unchanged.  Each entry maps a name to one of
+    #: four shapes:
+    #:
+    #: * ``{"kind": "vector", "values": [n, ...]}`` — one count per
+    #:   unit: ``alu.ops`` and ``fp_add.ops`` (per ALU / FP adder),
+    #:   ``regfile.reads`` and ``regfile.writes`` (per copy),
+    #:   ``iq.int.*`` and ``iq.fp.*`` ``compaction_moves`` and
+    #:   ``long_moves`` (per queue half);
+    #: * ``{"kind": "counter", "value": n}`` — ``core.stall_cycles``,
+    #:   ``core.throttled_cycles``, ``dtm.stalls.<reason>``, and on
+    #:   traced runs ``trace.events.<kind>`` and ``trace.dropped``;
+    #: * ``{"kind": "gauge", "value": k}`` — ``temp.peak_k``, the max
+    #:   of :attr:`max_temps`;
+    #: * ``{"kind": "histogram", "bounds": [...], "counts": [...],
+    #:   "total": t, "count": n}`` — ``temp.hottest_block_k``: the
+    #:   hottest block's readings, bucketed by inclusive upper bounds
+    #:   9, 6, 3, 1 and 0 K below the ceiling plus an overflow bucket;
+    #:   ``total`` sums the readings and ``count`` counts them.
+    #:
+    #: Readers parse the raw dict: ``repro.obs.report`` (``_vector``,
+    #: ``_event_summary``) and ``perf/worker.py`` (``result_digest``).
     metrics: Dict[str, Any] = field(default_factory=dict)
     #: Downsampled per-block thermal trajectories (K) for report
     #: sparklines, keyed by block name.

@@ -14,10 +14,11 @@ from __future__ import annotations
 
 import gc
 import pickle
+from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from time import perf_counter
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterable, Iterator, List, Optional
 
 from ..analysis.sanitize import Sanitizer, sanitize_enabled
 from ..core.dtm import ThermalManager
@@ -25,7 +26,6 @@ from ..core.mapping import make_mapping
 from ..core.policies import TechniqueConfig
 from ..obs.collector import TraceCollector, trace_enabled
 from ..obs.events import CheckpointRestore
-from ..obs.metrics import MetricsRegistry
 from ..obs.sparkline import downsample
 from ..pipeline.config import ProcessorConfig, ThermalConfig
 from ..pipeline.isa import MicroOp
@@ -383,56 +383,64 @@ class Simulator:
         self.dtm.on_sample(processor)
         self._sample_s += perf_counter() - start
 
-    def _metrics(self, max_temps: Dict[str, float]) -> MetricsRegistry:
-        """Per-run metrics, computed once at collection time.
+    def _metrics(self, max_temps: Dict[str, float]) -> Dict[str, Any]:
+        """The ``SimulationResult.metrics`` payload (its comment lists
+        the entry kinds), computed once at collection time.
 
         Collection-time totals read counters the pipeline already
         maintains, so the measured loop pays nothing for them — they
         are populated whether or not event tracing is on.
         """
-        registry = MetricsRegistry()
+        def vector(values: Iterable[int]) -> Dict[str, Any]:
+            return {"kind": "vector", "values": list(values)}
+
+        def counter(value: int) -> Dict[str, Any]:
+            return {"kind": "counter", "value": value}
+
         processor = self.processor
-        alu_ops = registry.vector("alu.ops")
-        for index, unit in enumerate(processor.int_alus):
-            alu_ops.add(index, unit.counters.ops)
-        fp_ops = registry.vector("fp_add.ops")
-        for index, unit in enumerate(processor.fp_adders):
-            fp_ops.add(index, unit.counters.ops)
-        rf_reads = registry.vector("regfile.reads")
-        rf_writes = registry.vector("regfile.writes")
         rf = processor.regfile.counters
-        for copy, (reads, writes) in enumerate(zip(rf.reads, rf.writes)):
-            rf_reads.add(copy, reads)
-            rf_writes.add(copy, writes)
+        metrics: Dict[str, Any] = {
+            "alu.ops": vector(u.counters.ops for u in processor.int_alus),
+            "fp_add.ops": vector(u.counters.ops
+                                 for u in processor.fp_adders),
+            "regfile.reads": vector(rf.reads),
+            "regfile.writes": vector(rf.writes),
+        }
         for prefix, queue in (("iq.int", processor.int_iq),
                               ("iq.fp", processor.fp_iq)):
-            counters = queue.counters
-            moves = registry.vector(f"{prefix}.compaction_moves")
-            longs = registry.vector(f"{prefix}.long_moves")
-            for half in (0, 1):
-                moves.add(half, counters.compaction_moves[half])
-                longs.add(half, counters.long_moves[half])
-        stats = self.processor.stats
-        registry.counter("core.stall_cycles").inc(stats.stall_cycles)
-        registry.counter("core.throttled_cycles").inc(
-            stats.throttled_cycles)
+            metrics[f"{prefix}.compaction_moves"] = vector(
+                queue.counters.compaction_moves)
+            metrics[f"{prefix}.long_moves"] = vector(
+                queue.counters.long_moves)
+        metrics["core.stall_cycles"] = counter(processor.stats.stall_cycles)
+        metrics["core.throttled_cycles"] = counter(
+            processor.stats.throttled_cycles)
         for reason, count in self.dtm.stats.stall_reasons.items():
-            registry.counter(f"dtm.stalls.{reason}").inc(count)
+            metrics[f"dtm.stalls.{reason}"] = counter(count)
         if max_temps:
-            registry.gauge("temp.peak_k").set(max(max_temps.values()))
+            metrics["temp.peak_k"] = {"kind": "gauge",
+                                      "value": max(max_temps.values())}
             hottest = max(max_temps, key=lambda b: (max_temps[b], b))
             ceiling = self.config.thermal.max_temperature_k
-            histogram = registry.histogram(
-                "temp.hottest_block_k",
-                bounds=[ceiling - 9.0, ceiling - 6.0, ceiling - 3.0,
-                        ceiling - 1.0, ceiling])
-            for reading in self.sensors.history(hottest):
-                histogram.observe(float(reading))
+            bounds = [ceiling - 9.0, ceiling - 6.0, ceiling - 3.0,
+                      ceiling - 1.0, ceiling]
+            counts = [0] * (len(bounds) + 1)
+            total = 0.0
+            readings = self.sensors.history(hottest).tolist()
+            # Upper bounds are inclusive (``bisect_left``), and the total
+            # is summed in reading order: ``sum`` compensates rounding on
+            # Python >= 3.12, so payloads would differ by version.
+            for reading in readings:
+                counts[bisect_left(bounds, reading)] += 1
+                total += reading
+            metrics["temp.hottest_block_k"] = {
+                "kind": "histogram", "bounds": bounds, "counts": counts,
+                "total": total, "count": len(readings)}
         if self.collector is not None:
             for kind, count in sorted(self.collector.counts.items()):
-                registry.counter(f"trace.events.{kind}").inc(count)
-            registry.counter("trace.dropped").inc(self.collector.dropped)
-        return registry
+                metrics[f"trace.events.{kind}"] = counter(count)
+            metrics["trace.dropped"] = counter(self.collector.dropped)
+        return metrics
 
     def _timelines(self, max_temps: Dict[str, float]
                    ) -> Dict[str, List[float]]:
@@ -470,7 +478,7 @@ class Simulator:
             rf_turnoffs=dtm.rf_turnoffs,
             mean_temps=mean_temps,
             max_temps=max_temps,
-            metrics=self._metrics(max_temps).to_dict(),
+            metrics=self._metrics(max_temps),
             timelines=self._timelines(max_temps),
             timeline_interval_cycles=(
                 stride * self.config.thermal.sensor_interval_cycles),

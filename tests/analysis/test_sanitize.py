@@ -2,6 +2,7 @@
 with any watched invariant raises immediately."""
 
 import dataclasses
+import pickle
 from dataclasses import replace
 
 import pytest
@@ -211,3 +212,13 @@ class TestErrorShape:
         assert excinfo.value.invariant == "energy_conservation"
         assert "[energy_conservation]" in str(excinfo.value)
         assert sanitizer.stats.violations == ["energy_conservation: details"]
+
+    def test_error_survives_pickling(self):
+        """A violation raised in a pool worker travels back pickled."""
+        error = SanitizerError("queue_duplicates", "IntQ holds #7 twice")
+        copy = pickle.loads(pickle.dumps(error))
+        assert type(copy) is SanitizerError
+        assert copy.invariant == "queue_duplicates"
+        assert copy.message == "IntQ holds #7 twice"
+        assert str(copy) == str(error) == (
+            "[queue_duplicates] IntQ holds #7 twice")

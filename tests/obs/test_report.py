@@ -111,6 +111,48 @@ class TestGenerate:
             generate(figures=("9",), engine=self._engine(tmp_path))
 
 
+class TestFleetPeak:
+    """The report's fleet peak is the max of ``max_temps`` over every
+    run its figure sections render, whoever answered the runs."""
+
+    @staticmethod
+    def render(engine):
+        """The report's peak line, and every result the engine
+        returned while rendering it."""
+        seen = []
+        run_many = engine.run_many
+
+        def recording(configs):
+            results = run_many(configs)
+            seen.extend(results)
+            return results
+
+        engine.run_many = recording
+        text = generate(figures=("6", "7", "8"),
+                        benchmarks=("perlbmk", "parser"),
+                        max_cycles=3_000, engine=engine).to_markdown()
+        lines = [line for line in text.splitlines()
+                 if line.startswith("Fleet peak sensed temperature: ")]
+        assert len(lines) == 1
+        return lines[0], seen
+
+    def test_peak_is_max_over_runs_cold_warm_and_parallel(self, tmp_path):
+        cold = ExperimentEngine(jobs=1, cache=ResultCache(tmp_path / "a"))
+        line, results = self.render(cold)
+        assert len(results) == 2 * (2 + 3 + 4)
+        peak = max(max(r.max_temps.values()) for r in results)
+        assert line == (f"Fleet peak sensed temperature: {peak:.1f} K "
+                        f"(ceiling 358.0 K).")
+
+        warm = ExperimentEngine(jobs=1, cache=ResultCache(tmp_path / "a"))
+        assert self.render(warm)[0] == line
+        assert warm.stats.cache_hits == warm.stats.total == len(results)
+
+        pooled = ExperimentEngine(jobs=2, cache=ResultCache(tmp_path / "b"))
+        assert self.render(pooled)[0] == line
+        assert pooled.stats.parallel_runs == len(results)
+
+
 class TestZeroBaseIPC:
     """Figure sections render an undefined speedup as "n/a" and say
     how many benchmarks the averages left out."""

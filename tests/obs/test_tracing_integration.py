@@ -8,7 +8,7 @@ style configurations:
 * tracing on emits the documented event kinds with cycle stamps that
   land on sensor-sample boundaries and agree with the recorded sensor
   histories (ground truth for detection cycles);
-* checkpoint restores and the parallel engine compose with tracing.
+* checkpoint restores compose with tracing.
 """
 
 import pytest
@@ -18,7 +18,6 @@ from repro.core.policies import (ALUPolicy, IssueQueuePolicy,
 from repro.obs.events import (CheckpointRestore, CoreResume, CoreStall,
                               ThermalCeilingCross, ToggleEvent,
                               UnitTurnoff, UnitTurnon)
-from repro.sim.parallel import ExperimentEngine, ResultCache
 from repro.sim.runner import SimulationConfig, Simulator
 from repro.thermal.floorplan import FloorplanVariant
 
@@ -187,24 +186,3 @@ class TestCheckpointRestoreEvent:
         assert _strip_trace(restored.to_dict()) == _strip_trace(
             fresh.to_dict())
 
-
-class TestFleetMetrics:
-    def test_engine_merges_metrics_across_runs_and_cache(self, tmp_path):
-        configs = [_config(max_cycles=3_000, benchmark=bench)
-                   for bench in ("perlbmk", "parser")]
-        cold = ExperimentEngine(jobs=1,
-                                cache=ResultCache(tmp_path / "cache"))
-        results = cold.run_many(configs)
-        fleet = cold.stats.fleet_metrics
-        expected = sum(sum(r.metrics["alu.ops"]["values"])
-                       for r in results)
-        assert sum(fleet.vector("alu.ops").values) == expected
-        peaks = [r.metrics["temp.peak_k"]["value"] for r in results]
-        assert fleet.gauge("temp.peak_k").value == max(peaks)
-
-        warm = ExperimentEngine(jobs=1,
-                                cache=ResultCache(tmp_path / "cache"))
-        warm.run_many(configs)
-        assert warm.stats.cache_hits == len(configs)
-        assert (warm.stats.fleet_metrics.to_dict()
-                == cold.stats.fleet_metrics.to_dict())

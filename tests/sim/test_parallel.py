@@ -11,6 +11,7 @@ import os
 
 import pytest
 
+from repro.analysis.sanitize import SanitizerError
 from repro.core.mapping import MappingKind
 from repro.core.policies import RegFilePolicy, TechniqueConfig
 from repro.sim import batch as batch_mod
@@ -57,6 +58,10 @@ def _crash_in_worker_runner(config):
 
 def _raising_runner(config):
     raise ValueError("boom from worker")
+
+
+def _sanitizer_error_runner(config):
+    raise SanitizerError("queue_duplicates", "boom from worker")
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +264,17 @@ class TestCrashHandling:
                                   runner=_raising_runner)
         with pytest.raises(ValueError, match="boom from worker"):
             engine.run_many(small_grid()[:2])
+
+    def test_sanitizer_error_propagates_at_once(self):
+        """A violation in a pool worker is an application exception,
+        not a dead pool: no retry, no inline rerun."""
+        engine = ExperimentEngine(jobs=2, use_cache=False,
+                                  runner=_sanitizer_error_runner)
+        with pytest.raises(SanitizerError, match="boom from worker") as info:
+            engine.run_many(small_grid()[:2])
+        assert info.value.invariant == "queue_duplicates"
+        assert engine.stats.retried == engine.stats.degraded == 0
+        assert engine.stats.inline_runs == 0
 
 
 def two_group_grid():

@@ -34,8 +34,9 @@ REP104
     accounting only when the kernel is on, the worst kind of drift.
     The batched arm additionally checks fork/finalize adoption:
     any batched-path function that restores a pickled leader snapshot
-    must write the run's own counter row back into the run-axis store,
-    or adoption clobbers the follower's counters with the leader's.
+    must write the run's own counter row back into its processor's
+    ``counter_row``, or adoption clobbers the follower's counters with
+    the leader's.
 
 All four are built on the shared one-parse infrastructure
 (:class:`~repro.analysis.callgraph.ProjectIndex` and
@@ -432,19 +433,19 @@ class KernelParityRule(DeepRule):
 
     When a ``run_batch`` entry point exists, the same parity is
     additionally required of everything reachable from it: a batched
-    run's counters (attr and IQC_* index keys, held per run on the
-    run-axis store) must be landed by code the batched kernel actually
-    reaches — a counter only the per-run driver lands would silently
-    diverge under ``REPRO_BATCH=1``.
+    run's counters (attr and IQC_* index keys, held in each run's
+    ``counter_row``) must be landed by code the batched kernel
+    actually reaches — a counter only the per-run driver lands would
+    silently diverge under ``REPRO_BATCH=1``.
 
     The fork/finalize adoption arm gets its own check: a batched-path
     function in ``pipeline/kernel.py`` that calls ``restore_state``
     (leader-snapshot adoption when a follower forks or its class
-    finishes) must also store the run's own counter row back through
-    the run-axis store's backing matrix (``store.data[...] = ...``).
-    ``restore_state`` writes the *leader's* counter values through the
-    adopting run's row views, so an adoption path without the row
-    write-back silently replaces the follower's activity history.
+    finishes) must also store the run's own counter row back
+    (``proc.counter_row[...] = ...``).  ``restore_state`` writes the
+    *leader's* counter values into the adopting run's row, so an
+    adoption path without the row write-back silently replaces the
+    follower's activity history.
     """
 
     rule_id = "REP104"
@@ -460,8 +461,8 @@ class KernelParityRule(DeepRule):
     COUNTER_SCOPE = ("pipeline/",)
     #: method whose call marks a leader-snapshot adoption site
     RESTORE_CALL = "restore_state"
-    #: run-axis backing-matrix attribute the write-back must store to
-    WRITEBACK_ATTR = "data"
+    #: processor attribute (the counter row) the write-back stores to
+    WRITEBACK_ATTR = "counter_row"
 
     def check_project(self,
                       project: ProjectContext) -> Iterator[Finding]:
@@ -520,7 +521,7 @@ class KernelParityRule(DeepRule):
                              batch_funcs: Set[str]) -> Iterator[Finding]:
         """Flag adoption sites (``restore_state`` on the batched path)
         inside functions that never write the run's own counter row
-        back (``store.data[...] = ...``)."""
+        back (``proc.counter_row[...] = ...``)."""
         for qual, info in index.functions.items():
             if (qual not in batch_funcs
                     or not info.path.endswith(self.KERNEL_FILE)):
@@ -546,8 +547,8 @@ class KernelParityRule(DeepRule):
                     info.path, restore_site,
                     f"batched adoption path {info.method_key}() "
                     f"restores a leader snapshot without writing the "
-                    f"run's own counter row back to the run-axis "
-                    f"store (store.data[...] = ...); the restore "
+                    f"run's own counter row back "
+                    f"(proc.counter_row[...] = ...); the restore "
                     f"clobbers the follower's counters with the "
                     f"leader's")
 

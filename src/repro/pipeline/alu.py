@@ -29,6 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Set
 
+import numpy as np
+
 from .isa import DEFAULT_LATENCY, MicroOp, OpClass
 from .soa import UnitBank
 
@@ -199,21 +201,28 @@ class FunctionalUnit:
             (w.finish_cycle for w in self._pipeline), default=_NEVER)
 
 
-def make_int_alus(count: int) -> List[FunctionalUnit]:
+def make_int_alus(count: int,
+                  storage: Optional[np.ndarray] = None
+                  ) -> List[FunctionalUnit]:
     """Build the statically prioritized integer ALU bank.
 
     Index 0 is the highest select priority (the unit that heats first
-    under the conventional policy)."""
-    bank = UnitBank(count)
+    under the conventional policy).  ``storage`` is the bank's
+    :class:`~repro.pipeline.soa.UnitBank` counter block."""
+    bank = UnitBank(count, storage)
     return [FunctionalUnit(i, INT_OPCLASSES, f"IntExec{i}", bank=bank)
             for i in range(count)]
 
 
-def make_fp_adders(count: int) -> List[FunctionalUnit]:
-    bank = UnitBank(count)
+def make_fp_adders(count: int,
+                   storage: Optional[np.ndarray] = None
+                   ) -> List[FunctionalUnit]:
+    bank = UnitBank(count, storage)
     return [FunctionalUnit(i, FP_ADD_OPCLASSES, f"FPAdd{i}", bank=bank)
             for i in range(count)]
 
 
-def make_fp_multiplier() -> FunctionalUnit:
-    return FunctionalUnit(0, FP_MUL_OPCLASSES, "FPMul", bank=UnitBank(1))
+def make_fp_multiplier(storage: Optional[np.ndarray] = None
+                       ) -> FunctionalUnit:
+    return FunctionalUnit(0, FP_MUL_OPCLASSES, "FPMul",
+                          bank=UnitBank(1, storage))

@@ -240,7 +240,7 @@ class CompactingIssueQueue:
     """A compacting issue queue with activity-toggling support."""
 
     def __init__(self, n_entries: int, compact_width: int,
-                 replay_window: int = 2) -> None:
+                 replay_window: int = 2, storage: Any = None) -> None:
         if n_entries < 4 or n_entries % 2:
             raise ValueError("queue needs an even entry count >= 4")
         if compact_width < 1:
@@ -251,8 +251,9 @@ class CompactingIssueQueue:
         self.replay_window = replay_window
         self.mode = QueueMode.NORMAL
         self.slots: List[Optional[IQEntry]] = [None] * n_entries
-        #: SoA counter storage (slot layout in repro.pipeline.soa).
-        self._c = new_iq_counter_array()
+        #: SoA counter storage (slot layout in repro.pipeline.soa): the
+        #: 15-slot ``storage`` view given, else an array of its own.
+        self._c = new_iq_counter_array() if storage is None else storage
         self.counters = IssueQueueCounterView(self._c)
         self._now = 0
         #: logical position -> physical slot, for the current mode.
@@ -269,17 +270,6 @@ class CompactingIssueQueue:
         #: physical tag has one producer per allocation, and rename
         #: cannot recycle the tag before that producer writes back).
         self._waiters: Dict[int, List[IQEntry]] = {}
-
-    def adopt_counter_storage(self, row: Any) -> None:
-        """Rebind counter storage to an externally-owned 15-slot row
-        (a :class:`~repro.pipeline.soa.RunAxisStore` segment), carrying
-        the current values over.  The public ``counters`` view is
-        rebuilt so boundary consumers keep reading live storage."""
-        if row.shape != self._c.shape or row.dtype != self._c.dtype:
-            raise ValueError("counter storage shape/dtype mismatch")
-        row[:] = self._c
-        self._c = row
-        self.counters = IssueQueueCounterView(row)
 
     # ------------------------------------------------------------------
     # position mapping

@@ -53,7 +53,6 @@ from ..workloads.trace import ReplayTrace as _ReplayTrace
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .issue_queue import CompactingIssueQueue
     from .processor import Processor, ProcessorStats
-    from .soa import RunAxisStore
 
 _TOGGLED = QueueMode.TOGGLED
 
@@ -1058,7 +1057,7 @@ def _compact_queue(queue: "CompactingIssueQueue", now: int,
 
 
 # ---------------------------------------------------------------------------
-# Batched grid execution (run axis)
+# Batched grid execution
 # ---------------------------------------------------------------------------
 #
 # A figure grid runs many technique variants of one benchmark from one
@@ -1067,9 +1066,10 @@ def _compact_queue(queue: "CompactingIssueQueue", now: int,
 # *identically* — cycle for cycle, counter for counter — until the
 # first boundary where their DTM decisions differ.  The batched path
 # exploits that: runs are grouped into execution-equivalence classes;
-# each class's leader executes chunks for real while its followers'
-# counter rows receive the leader's activity delta as one vectorized
-# broadcast per boundary.  Divergence is held as per-run state (the
+# each class's leader executes chunks for real while each follower's
+# counter row (``Processor.counter_row``, which holds every SoA counter
+# of that run) receives the leader's activity delta as one vectorized
+# add per chunk.  Divergence is held as per-run state (the
 # gating tuple) rather than control flow: every run's own DTM still
 # observes its own thermal sensors and makes its own decisions each
 # boundary, and the moment a follower's post-DTM gating tuple differs
@@ -1109,8 +1109,7 @@ class BatchStats:
 class BatchRun:
     """One run's slot in a batched kernel invocation.
 
-    ``index`` is the run's row in the shared
-    :class:`~repro.pipeline.soa.RunAxisStore`.  ``reads_pipeline``
+    ``index`` is the run's position in its group.  ``reads_pipeline``
     marks runs whose DTM inspects live pipeline state during
     ``on_sample`` (the activity-toggling policy reads queue occupancy
     and counters): such runs always execute for real — a follower's
@@ -1136,7 +1135,7 @@ class _ExecClass:
                  "done", "at_boundary", "finished")
 
     def __init__(self, leader: BatchRun, followers: List[BatchRun],
-                 remaining: int, store: "RunAxisStore") -> None:
+                 remaining: int) -> None:
         self.leader = leader
         self.followers = followers
         self.remaining = remaining
@@ -1144,7 +1143,8 @@ class _ExecClass:
         # refreshed after every boundary (so the leader's own DTM
         # counter bumps — which followers make on their own rows —
         # never leak into the execution delta).
-        self.prev_row = store.row(leader.index).copy() if followers else None
+        self.prev_row = (leader.proc.counter_row.copy() if followers
+                         else None)
         self.done = False
         self.at_boundary = False
         self.finished = False
@@ -1169,15 +1169,15 @@ def _effective_gating(proc: "Processor") -> tuple:
             throttled if throttled > 0 else 0, *rest)
 
 
-def run_batch(runs: List[BatchRun], store: "RunAxisStore",
+def run_batch(runs: List[BatchRun],
               max_cycles: int, sample_interval: int,
               on_boundary,
               stats: Optional[BatchStats] = None) -> None:
     """Step every run of one warm-state group through the macro-step
     loop in lock-step.
 
-    All runs must share the same ``now`` (one restored warm state),
-    the same replayable trace buffer, and adopted rows of ``store``.
+    All runs must share the same ``now`` (one restored warm state)
+    and the same replayable trace buffer.
     ``on_boundary(class_runs)`` is called once per execution class at
     every sampling boundary with the class leader first — the caller
     samples power/thermal state for those runs (batched across the
@@ -1205,9 +1205,8 @@ def run_batch(runs: List[BatchRun], store: "RunAxisStore",
     # leads the shared class; any further ones run alone.
     readers = [r for r in runs if r.reads_pipeline]
     sharers = readers[:1] + [r for r in runs if not r.reads_pipeline]
-    classes = [_ExecClass(sharers[0], sharers[1:], max_cycles, store)]
-    classes += [_ExecClass(r, [], max_cycles, store) for r in readers[1:]]
-    data = store.data
+    classes = [_ExecClass(sharers[0], sharers[1:], max_cycles)]
+    classes += [_ExecClass(r, [], max_cycles) for r in readers[1:]]
     while True:
         live = [cls for cls in classes if not cls.done]
         if not live:
@@ -1224,9 +1223,9 @@ def run_batch(runs: List[BatchRun], store: "RunAxisStore",
             if cls.followers:
                 # Broadcast this chunk's execution delta to every run
                 # still sharing the leader's execution.
-                delta = data[leader.index] - cls.prev_row
+                delta = proc.counter_row - cls.prev_row
                 for follower in cls.followers:
-                    data[follower.index] += delta
+                    follower.proc.counter_row += delta
             cls.at_boundary = ran == chunk and chunk == to_boundary
             cls.finished = finished
         # --- boundary: sample/DTM per class, then fork divergents
@@ -1248,20 +1247,19 @@ def run_batch(runs: List[BatchRun], store: "RunAxisStore",
                         kept.append(follower)
                         continue
                     # Diverged: fork into a class of its own.
-                    _adopt_leader_state(follower, proc, store)
-                    forked.append(
-                        _ExecClass(follower, [], cls.remaining, store))
+                    _adopt_leader_state(follower, proc)
+                    forked.append(_ExecClass(follower, [], cls.remaining))
                     stats.fork_count += 1
                 cls.followers = kept
                 if kept:
-                    cls.prev_row = data[cls.leader.index].copy()
+                    cls.prev_row = proc.counter_row.copy()
         classes.extend(forked)
         # --- completion: budget exhausted or pipeline drained
         for cls in live + forked:
             if cls.done:
                 continue
             if cls.finished or cls.remaining <= 0:
-                _finalize_class(cls, store)
+                _finalize_class(cls)
                 cls.done = True
         # --- record the wave
         if hit_boundary:
@@ -1273,23 +1271,23 @@ def run_batch(runs: List[BatchRun], store: "RunAxisStore",
                     stats.class_occupancy.get(occupancy, 0) + 1)
 
 
-def _finalize_class(cls: _ExecClass, store: "RunAxisStore") -> None:
+def _finalize_class(cls: _ExecClass) -> None:
     """Class completed (drain or cycle budget) with followers still
     attached: give each follower the leader's final pipeline state
     (identical by construction) with its own counters and gating
     overlaid."""
     for follower in cls.followers:
-        _adopt_leader_state(follower, cls.leader.proc, store)
+        _adopt_leader_state(follower, cls.leader.proc)
     cls.followers = []
 
 
 def _sync_scalars(follower: "Processor", leader: "Processor") -> None:
     """Copy the scalar activity state a boundary consumer reads.
 
-    A follower's counter rows are kept correct by the broadcast; the
+    A follower's counter row is kept correct by the broadcast; the
     handful of scalars :meth:`Processor.activity_snapshot` reads (and
     ``now``, which stall deadlines are computed against) live outside
-    the SoA store and are identical to the leader's by construction.
+    the counter row and are identical to the leader's by construction.
     """
     follower.now = leader.now
     follower.stats.cycles = leader.stats.cycles
@@ -1300,8 +1298,7 @@ def _sync_scalars(follower: "Processor", leader: "Processor") -> None:
     follower.memory.l2.stats.accesses = leader.memory.l2.stats.accesses
 
 
-def _adopt_leader_state(run: BatchRun, leader: "Processor",
-                        store: "RunAxisStore") -> None:
+def _adopt_leader_state(run: BatchRun, leader: "Processor") -> None:
     """Give ``run`` the leader's full pipeline state, preserving the
     run's own counters and DTM gating decisions.
 
@@ -1313,11 +1310,11 @@ def _adopt_leader_state(run: BatchRun, leader: "Processor",
     per adopting run keeps forked siblings from sharing mutable state.
     """
     proc = run.proc
-    own_row = store.row(run.index).copy()
+    own_row = proc.counter_row.copy()
     gating = proc.capture_gating()
     proc.restore_state(pickle.loads(pickle.dumps(leader.snapshot_state())))
-    # restore_state wrote the leader's counter values through this
-    # run's row views; put the run's own counters back.
-    store.data[run.index] = own_row
+    # restore_state wrote the leader's counter values into this run's
+    # row; put the run's own counters back.
+    proc.counter_row[:] = own_row
     proc.apply_gating(gating)
     proc.fetch.trace.seek(leader.fetch.trace.position)

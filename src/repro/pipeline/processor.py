@@ -21,6 +21,8 @@ from dataclasses import dataclass, field
 from typing import (TYPE_CHECKING, Any, Dict, Iterator, List, Optional,
                     Sequence, Set, Tuple)
 
+import numpy as np
+
 from ..core.mapping import PortMapping, priority_mapping
 from ..obs.events import CoreStall
 from .alu import (FP_ADD_OPCLASSES, FP_MUL_OPCLASSES,
@@ -36,10 +38,10 @@ from .kernel import kernel_enabled, run_kernel
 from .regfile import RegisterFileBank, RenameTable
 from .rob import ActiveList, LoadStoreQueue, ROBEntry
 from .select import SelectNetwork
+from .soa import IQC_NFIELDS
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..obs.collector import TraceCollector
-    from .soa import RunAxisStore
 
 #: Rename-table row offset for FP architectural registers.
 FP_RENAME_OFFSET = NUM_INT_ARCH_REGS
@@ -115,15 +117,30 @@ class Processor:
         self.lsq = LoadStoreQueue(cfg.lsq_entries)
         self.memory = MemoryHierarchy(cfg)
 
+        # Every SoA activity counter of this core lives in one int64
+        # row, and each component is built on views of it: the three
+        # unit banks ((3, n) blocks: ops, busy cycles, turnoff events),
+        # the two queues' 15 slots, then the register file's per-port
+        # reads and per-copy writes.  A batched group moves a run's
+        # whole activity as this one row.
+        n_alus, n_adders = cfg.num_int_alus, cfg.num_fp_adders
+        widths = (3 * n_alus, 3 * n_adders, 3, IQC_NFIELDS, IQC_NFIELDS,
+                  2 * n_alus + self.mapping.n_copies)
+        self.counter_row = np.zeros(sum(widths), dtype=np.int64)
+        (int_units, fp_add_units, fp_mul_unit, int_iq, fp_iq,
+         regfile) = np.split(self.counter_row, np.cumsum(widths)[:-1])
         self.int_iq = CompactingIssueQueue(cfg.int_queue_entries,
                                            cfg.issue_width,
-                                           replay_window=cfg.replay_window)
+                                           replay_window=cfg.replay_window,
+                                           storage=int_iq)
         self.fp_iq = CompactingIssueQueue(cfg.fp_queue_entries,
                                           cfg.issue_width,
-                                          replay_window=cfg.replay_window)
-        self.int_alus = make_int_alus(cfg.num_int_alus)
-        self.fp_adders = make_fp_adders(cfg.num_fp_adders)
-        self.fp_mul = make_fp_multiplier()
+                                          replay_window=cfg.replay_window,
+                                          storage=fp_iq)
+        self.int_alus = make_int_alus(n_alus, int_units.reshape(3, n_alus))
+        self.fp_adders = make_fp_adders(
+            n_adders, fp_add_units.reshape(3, n_adders))
+        self.fp_mul = make_fp_multiplier(fp_mul_unit.reshape(3, 1))
         self.int_select = SelectNetwork(cfg.int_queue_entries,
                                         cfg.num_int_alus,
                                         round_robin=round_robin_alus)
@@ -131,7 +148,7 @@ class Processor:
                                            cfg.num_fp_adders,
                                            round_robin=round_robin_alus)
         self.fp_mul_select = SelectNetwork(cfg.fp_queue_entries, 1)
-        self.regfile = RegisterFileBank(self.mapping)
+        self.regfile = RegisterFileBank(self.mapping, regfile)
         #: Integer ALUs the ALU fine-grain controller holds off.  The
         #: register file is the busy flag's other owner (it blocks the
         #: ALUs wired to a turned-off copy); an ALU is busy while
@@ -491,32 +508,6 @@ class Processor:
     # ------------------------------------------------------------------
     # batched-grid interface (repro.pipeline.kernel.run_batch)
     # ------------------------------------------------------------------
-    def adopt_run_axis(self, store: "RunAxisStore", run: int) -> None:
-        """Rebind every SoA counter of this processor to row ``run``
-        of a shared :class:`~repro.pipeline.soa.RunAxisStore`.
-
-        Current counter values are carried into the store.  Every
-        writer reaches the counters through its bank or queue, so both
-        the reference loop and the macro-step kernel keep working
-        unchanged — they just write through row views now.
-        """
-        self._int_bank.adopt_storage(
-            store.view(run, "int_ops"),
-            store.view(run, "int_busy_cycles"),
-            store.view(run, "int_turnoff_events"))
-        self._fp_add_bank.adopt_storage(
-            store.view(run, "fp_add_ops"),
-            store.view(run, "fp_add_busy_cycles"),
-            store.view(run, "fp_add_turnoff_events"))
-        self._fp_mul_bank.adopt_storage(
-            store.view(run, "fp_mul_ops"),
-            store.view(run, "fp_mul_busy_cycles"),
-            store.view(run, "fp_mul_turnoff_events"))
-        self.int_iq.adopt_counter_storage(store.view(run, "int_iq"))
-        self.fp_iq.adopt_counter_storage(store.view(run, "fp_iq"))
-        self.regfile.adopt_counter_storage(
-            store.view(run, "rf_port_reads"), store.view(run, "rf_writes"))
-
     def capture_gating(self) -> Tuple[Any, ...]:
         """The DTM-controlled gating state, as a comparable tuple.
 

@@ -166,33 +166,22 @@ class RegFileCounters:
 class RegisterFileBank:
     """Replicated integer register file with hard-wired read ports."""
 
-    def __init__(self, mapping: PortMapping) -> None:
+    def __init__(self, mapping: PortMapping,
+                 storage: Optional[np.ndarray] = None) -> None:
         self.mapping = mapping
         self.n_copies = mapping.n_copies
-        #: SoA access counters: reads indexed by ALU read port
-        #: (``2 * alu + port``), writes by copy.
-        self._port_reads = np.zeros(2 * mapping.n_alus, dtype=np.int64)
-        self._writes = np.zeros(self.n_copies, dtype=np.int64)
+        n_ports = 2 * mapping.n_alus
+        if storage is None:
+            storage = np.zeros(n_ports + self.n_copies, dtype=np.int64)
+        #: SoA access counters, two views of ``storage``: reads indexed
+        #: by ALU read port (``2 * alu + port``), then writes by copy.
+        self._port_reads, self._writes = np.split(storage, [n_ports])
         self.counters = RegFileCounters(self._port_reads, self._writes,
                                         mapping)
         self._off: Set[int] = set()
         #: Cached union of the mapped ALUs of every turned-off copy,
         #: maintained by turn_off/turn_on — issue reads it every cycle.
         self._blocked: Set[int] = set()
-
-    def adopt_counter_storage(self, port_reads: Any, writes: Any) -> None:
-        """Rebind the access counters to externally-owned per-port and
-        per-copy arrays (:class:`~repro.pipeline.soa.RunAxisStore`
-        segments), carrying the current values over."""
-        for new, old in ((port_reads, self._port_reads),
-                         (writes, self._writes)):
-            if new.shape != old.shape or new.dtype != old.dtype:
-                raise ValueError("counter storage shape/dtype mismatch")
-        port_reads[:] = self._port_reads
-        writes[:] = self._writes
-        self._port_reads = port_reads
-        self._writes = writes
-        self.counters = RegFileCounters(port_reads, writes, self.mapping)
 
     # ------------------------------------------------------------------
     # access accounting

@@ -7,11 +7,11 @@ grouped by a batch key — the warm-checkpoint key (benchmark, seed,
 warm-relevant processor/energy/technique fields) plus everything that
 must agree for lock-step execution (cycle budget, thermal
 configuration) — and each group executes as a single
-:func:`repro.pipeline.kernel.run_batch` invocation: every run's SoA
-counters live in one :class:`~repro.pipeline.soa.RunAxisStore` matrix,
-runs that execute identically share one macro-stepped execution, and
-power/thermal sampling crosses the run axis in one batched call per
-boundary.
+:func:`repro.pipeline.kernel.run_batch` invocation: runs that execute
+identically share one macro-stepped execution (each follower's
+``Processor.counter_row`` receives its leader's activity delta as one
+row add), and power/thermal sampling crosses the run axis in one
+batched call per boundary.
 
 Every pending run joins the group of its key; a run whose key no
 other pending run shares runs on the per-run kernel, and
@@ -38,7 +38,6 @@ from typing import Dict, List, Optional, Sequence
 from ..analysis.sanitize import sanitize_enabled
 from ..core.policies import IssueQueuePolicy
 from ..pipeline.kernel import BatchRun, BatchStats, run_batch
-from ..pipeline.soa import RunAxisStore
 from .checkpoint import _stable, checkpoint_key
 from .parallel import GroupOutcome, WorkerOutcome, _prepared_simulator
 from .runner import SimulationConfig, Simulator, _gc_paused
@@ -108,21 +107,16 @@ def run_group(configs: Sequence[SimulationConfig],
         leader.prepare()
         blob = leader.capture_warm_state()
 
-    proc0 = leader.processor
-    store = RunAxisStore(
-        len(configs), len(proc0.int_alus), len(proc0.fp_adders),
-        proc0.regfile.n_copies)
     sims = [leader] + [Simulator.from_checkpoint(config, blob)
                        for config in configs[1:]]
     runs: List[BatchRun] = []
     for i, sim in enumerate(sims):
-        sim.processor.adopt_run_axis(store, i)
         runs.append(BatchRun(sim.processor, i,
                              reads_pipeline=_reads_pipeline(sim.config)))
         sim._measure_started = True
 
     with _gc_paused():
-        run_batch(runs, store, configs[0].max_cycles,
+        run_batch(runs, configs[0].max_cycles,
                   configs[0].thermal.sensor_interval_cycles,
                   partial(_sample_boundary, sims), stats=stats)
     outcomes: List[WorkerOutcome] = []

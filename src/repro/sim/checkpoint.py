@@ -35,8 +35,10 @@ kinds therefore capture byte-identical blobs and share one checkpoint.
 
 Technique variants that share a key fork from one stored checkpoint
 instead of each re-running warm-up; restored runs are bit-identical to
-fresh ones (the equivalence test suite enforces this).  Disable with
-``REPRO_CHECKPOINTS=0``; manage with ``repro cache info|clear``.
+fresh ones (the equivalence test suite enforces this).  The experiment
+engine keeps checkpoints exactly when it has a store: one given
+explicitly, or the one beside its result cache (so ``REPRO_CACHE=0``
+leaves none); manage with ``repro cache info|clear``.
 """
 
 from __future__ import annotations
@@ -68,12 +70,6 @@ class CheckpointError(RuntimeError):
     Restore paths treat this as "fall back to a fresh warm-up", never
     as a fatal error: a corrupt or stale entry must not break a run.
     """
-
-
-def checkpoints_enabled() -> bool:
-    """Whether ``REPRO_CHECKPOINTS`` permits warm-state checkpointing."""
-    return os.environ.get("REPRO_CHECKPOINTS", "").strip().lower() not in (
-        "0", "false", "no", "off")
 
 
 # ---------------------------------------------------------------------------

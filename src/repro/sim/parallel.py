@@ -25,7 +25,8 @@ Beyond whole-result memoization, the engine eliminates *within-grid*
 redundancy with warm-state checkpoints (:mod:`repro.sim.checkpoint`):
 technique variants that share a (benchmark, seed, processor, energy,
 warmup) cell fork from one post-warm-up snapshot instead of each
-re-running warm-up.  Disable with ``REPRO_CHECKPOINTS=0``.
+re-running warm-up.  The store lives beside the result cache unless
+one is given, so an engine without either keeps no checkpoints.
 
 The unit of pool work is a *task*: a batch group from
 :func:`repro.sim.batch.plan_groups` (run by ``execute_group`` in one
@@ -57,9 +58,9 @@ from ..analysis.sanitize import sanitize_enabled
 from ..obs.collector import trace_enabled
 from ..pipeline.kernel import BatchStats, batch_enabled
 from .checkpoint import (CacheInfo, CheckpointError, CheckpointStore,
-                         _stable, checkpoint_key, checkpoints_enabled,
-                         clear_store, code_fingerprint, read_entry,
-                         store_info, write_entry)
+                         _stable, checkpoint_key, clear_store,
+                         code_fingerprint, read_entry, store_info,
+                         write_entry)
 from .results import SimulationResult
 from .runner import SimulationConfig, Simulator
 
@@ -300,13 +301,13 @@ class ExperimentEngine:
     need crashing or instrumented workers.  Pass ``use_cache=False``
     for always-fresh runs regardless of the environment.
 
-    Warm-state checkpointing activates when the default runner is in
-    use and ``REPRO_CHECKPOINTS`` permits it: pass a
+    Warm-state checkpointing is on exactly when the default runner is
+    in use and the engine has a store: pass a
     :class:`~repro.sim.checkpoint.CheckpointStore` (or a root path) as
-    ``checkpoints`` to place the store explicitly, otherwise it lives
-    beside the result cache (``<cache-root>/checkpoints``) and is
-    disabled when the result cache is.  ``use_checkpoints=False``
-    forces every run through a fresh warm-up.
+    ``checkpoints`` to place it explicitly, otherwise it lives beside
+    the result cache (``<cache-root>/checkpoints``), so an engine with
+    neither keeps no checkpoints (a batch group's followers still
+    restore their leader's warm state from memory).
     """
 
     def __init__(self, jobs: Optional[int] = None,
@@ -314,14 +315,13 @@ class ExperimentEngine:
                  use_cache: bool = True,
                  runner: Optional[Runner] = None,
                  checkpoints: Union[CheckpointStore, str, Path,
-                                    None] = None,
-                 use_checkpoints: bool = True) -> None:
+                                    None] = None) -> None:
         self.jobs = default_jobs() if jobs is None else max(1, jobs)
         self.cache: Optional[ResultCache] = None
         if use_cache and cache_enabled():
             self.cache = cache if cache is not None else ResultCache()
         self.checkpoints: Optional[CheckpointStore] = None
-        if runner is None and use_checkpoints and checkpoints_enabled():
+        if runner is None:
             if isinstance(checkpoints, CheckpointStore):
                 self.checkpoints = checkpoints
             elif checkpoints is not None:

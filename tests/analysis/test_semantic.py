@@ -418,12 +418,12 @@ class TestREP104KernelParity:
             "    c[IQC_CYCLES] += ticks\n"
             "def run_kernel(proc, ops_acc, busy_acc, ticks):\n"
             "    _land(proc, ops_acc, busy_acc, ticks)\n"
-            "def _adopt(run, blob, store):\n"
-            "    run.proc.restore_state(pickle.loads(blob))\n"
-            "def run_batch(runs, store, ops_acc, busy_acc, ticks):\n"
+            "def _adopt(proc, blob):\n"
+            "    proc.restore_state(pickle.loads(blob))\n"
+            "def run_batch(runs, ops_acc, busy_acc, ticks):\n"
             "    for run in runs:\n"
             "        _land(run.proc, ops_acc, busy_acc, ticks)\n"
-            "        _adopt(run, run.blob, store)\n")
+            "        _adopt(run.proc, run.blob)\n")
         write_tree(tmp_path, files)
         report = deep_findings(tmp_path, select=["REP104"])
         assert rule_ids(report) == ["REP104"]
@@ -432,8 +432,8 @@ class TestREP104KernelParity:
         assert "_adopt" in message
 
     def test_adoption_with_row_writeback_clean(self, tmp_path):
-        """Restoring plus storing the run's own row back is the legal
-        merge/fork write-back shape."""
+        """Restoring plus storing the run's own counter row back is
+        the legal fork/finalize write-back shape."""
         files = dict(REP104_FILES)
         files["pipeline/kernel.py"] = (
             "def _land(proc, ops_acc, busy_acc, ticks):\n"
@@ -443,14 +443,14 @@ class TestREP104KernelParity:
             "    c[IQC_CYCLES] += ticks\n"
             "def run_kernel(proc, ops_acc, busy_acc, ticks):\n"
             "    _land(proc, ops_acc, busy_acc, ticks)\n"
-            "def _adopt(run, blob, store):\n"
-            "    own_row = store.row(run.index).copy()\n"
-            "    run.proc.restore_state(pickle.loads(blob))\n"
-            "    store.data[run.index] = own_row\n"
-            "def run_batch(runs, store, ops_acc, busy_acc, ticks):\n"
+            "def _adopt(proc, blob):\n"
+            "    own_row = proc.counter_row.copy()\n"
+            "    proc.restore_state(pickle.loads(blob))\n"
+            "    proc.counter_row[:] = own_row\n"
+            "def run_batch(runs, ops_acc, busy_acc, ticks):\n"
             "    for run in runs:\n"
             "        _land(run.proc, ops_acc, busy_acc, ticks)\n"
-            "        _adopt(run, run.blob, store)\n")
+            "        _adopt(run.proc, run.blob)\n")
         write_tree(tmp_path, files)
         report = deep_findings(tmp_path, select=["REP104"])
         assert rule_ids(report) == []

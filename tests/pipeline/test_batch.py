@@ -16,7 +16,6 @@ import gc
 import random
 import time
 
-import numpy as np
 import pytest
 
 from repro.analysis.sanitize import SanitizerError
@@ -25,7 +24,6 @@ from repro.core.policies import (ALUPolicy, IssueQueuePolicy,
                                  RegFilePolicy, TechniqueConfig)
 from repro.pipeline import kernel as kernel_mod
 from repro.pipeline.kernel import BatchStats, batch_enabled
-from repro.pipeline.soa import RunAxisStore
 from repro.sim import batch as batch_mod
 from repro.sim.batch import batch_key, plan_groups, run_group
 from repro.sim.checkpoint import CheckpointStore
@@ -86,8 +84,7 @@ def run_grid(monkeypatch, configs, batch="1", kernel="1", jobs=1,
     monkeypatch.setenv("REPRO_BATCH", batch)
     monkeypatch.setenv("REPRO_KERNEL", kernel)
     engine = ExperimentEngine(jobs=jobs, use_cache=False,
-                              checkpoints=checkpoints,
-                              use_checkpoints=checkpoints is not None)
+                              checkpoints=checkpoints)
     return engine.run_many(configs), engine.stats
 
 
@@ -218,19 +215,23 @@ class TestBatchIdentity:
 
     def test_batch_from_disk_checkpoints(self, monkeypatch, tmp_path):
         """The group leader restoring the cell's on-disk warm
-        checkpoint yields the same grid as warming from scratch."""
+        checkpoint yields the same grid as warming from scratch.  The
+        cold pass captures the cell's one checkpoint and its three
+        followers restore it; the warm pass restores it in all four
+        runs."""
         configs = fig8_grid()
-        monkeypatch.setenv("REPRO_BATCH", "1")
-        monkeypatch.setenv("REPRO_KERNEL", "1")
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        cold_engine = ExperimentEngine(jobs=1, use_cache=False,
-                                       use_checkpoints=True)
-        cold = cold_engine.run_many(configs)
-        warm_engine = ExperimentEngine(jobs=1, use_cache=False,
-                                       use_checkpoints=True)
-        warm = warm_engine.run_many(configs)
+        cold, cold_stats = run_grid(monkeypatch, configs,
+                                    checkpoints=tmp_path)
+        warm, warm_stats = run_grid(monkeypatch, configs,
+                                    checkpoints=tmp_path)
+        assert (cold_stats.checkpoint_captures,
+                cold_stats.checkpoint_restores) == (1, 3)
+        assert (warm_stats.checkpoint_captures,
+                warm_stats.checkpoint_restores) == (0, 4)
+        assert warm_stats.batched_runs == len(configs)
         assert_all_identical(cold, warm)
-        assert warm_engine.stats.batched_runs == len(configs)
+        per_run, _ = run_grid(monkeypatch, configs, batch="0")
+        assert_all_identical(warm, per_run)
 
     def test_leader_warm_state_pickled_once(self, monkeypatch, tmp_path):
         """A group's followers restore the blob the leader's store
@@ -391,8 +392,7 @@ class TestEngineBookkeeping:
         task, which runs inline even at jobs > 1."""
         monkeypatch.setenv("REPRO_BATCH", "1")
         monkeypatch.setenv("REPRO_KERNEL", "1")
-        engine = ExperimentEngine(jobs=2, use_cache=False,
-                                  use_checkpoints=False)
+        engine = ExperimentEngine(jobs=2, use_cache=False)
 
         def no_pool(*args, **kwargs):
             raise AssertionError("worker pool must not start")
@@ -411,8 +411,7 @@ class TestEngineBookkeeping:
         group per benchmark, each mixing the two mapping kinds."""
         monkeypatch.setenv("REPRO_BATCH", "1")
         monkeypatch.setenv("REPRO_KERNEL", "1")
-        engine = ExperimentEngine(jobs=2, use_cache=False,
-                                  use_checkpoints=False)
+        engine = ExperimentEngine(jobs=2, use_cache=False)
         waves = []
         run_pool = engine._run_pool
 
@@ -440,33 +439,48 @@ class TestEngineBookkeeping:
             return WorkerOutcome(Simulator(cfg).run(),
                                  sanitized=False, sanitizer_checks=0)
 
-        engine = ExperimentEngine(jobs=1, use_cache=False,
-                                  use_checkpoints=False, runner=runner)
+        engine = ExperimentEngine(jobs=1, use_cache=False, runner=runner)
         engine.run_many(fig8_grid())
         assert len(calls) == 4
         assert engine.stats.batched_runs == 0
 
 
-class TestRunAxisStore:
-    def test_views_alias_rows(self):
-        store = RunAxisStore(3, n_int_alus=4, n_fp_adders=2,
-                             n_rf_copies=2)
-        view = store.view(1, "int_ops")
-        view += np.arange(4)
-        assert store.row(1).sum() == 6
-        assert store.row(0).sum() == 0 and store.row(2).sum() == 0
+class TestCounterRow:
+    """Every SoA counter of a processor is a view of its one
+    ``counter_row``, which the batched kernel moves as a whole."""
 
-    def test_adopted_processor_writes_through(self):
-        sim = Simulator(config("gzip"))
-        sim.prepare()
-        proc = sim.processor
-        store = RunAxisStore(2, len(proc.int_alus),
-                             len(proc.fp_adders), proc.regfile.n_copies)
-        before = proc.activity_snapshot()
-        proc.adopt_run_axis(store, 1)
-        assert proc.activity_snapshot() == before
-        assert proc._int_bank.ops.base is store.data
-        assert store.row(0).sum() == 0  # other rows untouched
+    def views(self, proc):
+        banks = (proc._int_bank, proc._fp_add_bank, proc._fp_mul_bank)
+        return ([array for bank in banks for array in
+                 (bank.ops, bank.busy_cycles, bank.turnoff_events)]
+                + [proc.int_iq._c, proc.fp_iq._c,
+                   proc.regfile._port_reads, proc.regfile._writes])
+
+    def test_counter_arrays_view_the_row(self):
+        proc = Simulator(config("gzip")).processor
+        views = self.views(proc)
+        assert len(views) == 13
+        for view in views:
+            assert view.base is proc.counter_row
+        assert sum(view.size for view in views) == proc.counter_row.size
+
+    def test_view_writes_land_in_the_row(self):
+        proc = Simulator(config("gzip")).processor
+        proc.int_alus[2].counters.ops = 5
+        proc.fp_mul.counters.turnoff_events = 2
+        proc.int_iq.counters.counter_evals[0] += 3
+        proc.fp_iq.counters.compaction_moves[1] = 7
+        row = proc.counter_row
+        assert sorted(row[row != 0].tolist()) == [2, 3, 5, 7]
+
+    def test_rows_of_two_processors_are_independent(self):
+        a = Simulator(config("gzip")).processor
+        b = Simulator(config("gzip")).processor
+        a.counter_row += 1
+        a.regfile.write()
+        assert not b.counter_row.any()
+        assert b.regfile.counters.writes == [0] * b.regfile.n_copies
+        assert a.regfile.counters.writes == [2] * a.regfile.n_copies
 
 
 def divergence_grid(**overrides):
@@ -583,8 +597,7 @@ class TestDivergence:
         execution-class occupancy up from the batched groups."""
         configs = divergence_grid()
         install_gating_schedule(monkeypatch, self.SCHEDULE)
-        engine = ExperimentEngine(jobs=1, use_cache=False,
-                                  use_checkpoints=False)
+        engine = ExperimentEngine(jobs=1, use_cache=False)
         engine.run_many(configs)
         stats = engine.stats
         assert stats.fork_count == 1
@@ -606,8 +619,7 @@ class TestFaultAfterFork:
         ids=["1", "2", "interrupt-1", "interrupt-2"])
     def test_fault_leaves_no_partial_entry(self, monkeypatch, tmp_path,
                                            jobs, fault):
-        for env in ("REPRO_BATCH", "REPRO_KERNEL", "REPRO_CACHE",
-                    "REPRO_CHECKPOINTS"):
+        for env in ("REPRO_BATCH", "REPRO_KERNEL", "REPRO_CACHE"):
             monkeypatch.setenv(env, "1")
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         # The fine-grain/base group plus a solo run, so that at jobs=2
@@ -758,7 +770,7 @@ class TestWorkCounts:
     WARM = (114, 28_500, 0, 18)
 
     def test_figure_grid_cold_then_warm(self, monkeypatch, tmp_path):
-        for env in ("REPRO_BATCH", "REPRO_KERNEL", "REPRO_CHECKPOINTS"):
+        for env in ("REPRO_BATCH", "REPRO_KERNEL"):
             monkeypatch.setenv(env, "1")
         stepped = []  # cycles each kernel chunk ran
         run_chunk = kernel_mod._run_chunk
@@ -794,14 +806,12 @@ class TestThroughput:
         monkeypatch.setenv("REPRO_BATCH", "1")
         monkeypatch.setenv("REPRO_KERNEL", "1")
         configs = fig8_grid(max_cycles=20_000, warmup_cycles=2_000)
-        engine = ExperimentEngine(jobs=1, use_cache=False,
-                                  use_checkpoints=False)
+        engine = ExperimentEngine(jobs=1, use_cache=False)
         engine.run_many(configs)  # warm interpreter/caches
         walls = []
         for _ in range(2):
             gc.collect()
-            fresh = ExperimentEngine(jobs=1, use_cache=False,
-                                     use_checkpoints=False)
+            fresh = ExperimentEngine(jobs=1, use_cache=False)
             start = time.perf_counter()
             results = fresh.run_many(configs)
             walls.append(time.perf_counter() - start)

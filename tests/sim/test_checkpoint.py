@@ -26,8 +26,7 @@ from repro.core.policies import (ALL_TECHNIQUES, BASELINE, ALUPolicy,
                                  TechniqueConfig)
 from repro.pipeline.config import ProcessorConfig, ThermalConfig
 from repro.sim.checkpoint import (CheckpointError, CheckpointStore,
-                                  checkpoint_key, checkpoints_enabled,
-                                  read_entry, write_entry)
+                                  checkpoint_key, read_entry, write_entry)
 from repro.sim.parallel import (ExperimentEngine, ResultCache,
                                 _execute_config)
 from repro.sim.runner import SimulationConfig, Simulator
@@ -260,12 +259,6 @@ class TestCheckpointKey:
         assert (checkpoint_key(config, fingerprint="0" * 64)
                 != checkpoint_key(config, fingerprint="1" * 64))
 
-    def test_env_toggle(self, monkeypatch):
-        monkeypatch.delenv("REPRO_CHECKPOINTS", raising=False)
-        assert checkpoints_enabled()
-        monkeypatch.setenv("REPRO_CHECKPOINTS", "0")
-        assert not checkpoints_enabled()
-
 
 # ---------------------------------------------------------------------------
 # the blob store
@@ -358,8 +351,7 @@ class TestEngineIntegration:
         checkpointed = engine.run_many(grid)
         assert engine.stats.checkpoint_captures == 2  # one per benchmark
         assert engine.stats.checkpoint_restores == 4  # the other runs
-        fresh = ExperimentEngine(jobs=1, use_cache=False,
-                                 use_checkpoints=False).run_many(grid)
+        fresh = ExperimentEngine(jobs=1, use_cache=False).run_many(grid)
         for a, b in zip(checkpointed, fresh):
             assert dataclasses.asdict(a) == dataclasses.asdict(b)
 
@@ -378,8 +370,7 @@ class TestEngineIntegration:
         grid = technique_grid()
         pool = ExperimentEngine(jobs=2, use_cache=False,
                                 checkpoints=tmp_path / "pool")
-        inline = ExperimentEngine(jobs=1, use_cache=False,
-                                  use_checkpoints=False)
+        inline = ExperimentEngine(jobs=1, use_cache=False)
         for a, b in zip(pool.run_many(grid), inline.run_many(grid)):
             assert dataclasses.asdict(a) == dataclasses.asdict(b)
 
@@ -406,10 +397,21 @@ class TestEngineIntegration:
         assert (dataclasses.asdict(outcome.result)
                 == dataclasses.asdict(fresh))
 
-    def test_env_disables_checkpoints(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CHECKPOINTS", "0")
-        engine = ExperimentEngine(jobs=1, cache=ResultCache(tmp_path))
-        assert engine.checkpoints is None
+    def test_checkpoints_on_exactly_with_a_store(self, tmp_path,
+                                                 monkeypatch):
+        """An engine keeps checkpoints in the store it is given, or
+        else in the one beside its result cache; with neither
+        (``REPRO_CACHE=0`` or ``use_cache=False``) it keeps none."""
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        monkeypatch.delenv("REPRO_CACHE", raising=False)
+        assert (ExperimentEngine(jobs=1).checkpoints.root
+                == tmp_path / "cache" / "checkpoints")
+        assert (ExperimentEngine(jobs=1, use_cache=False,
+                                 checkpoints=tmp_path / "ckpt")
+                .checkpoints.root == tmp_path / "ckpt")
+        assert ExperimentEngine(jobs=1, use_cache=False).checkpoints is None
+        monkeypatch.setenv("REPRO_CACHE", "0")
+        assert ExperimentEngine(jobs=1).checkpoints is None
 
     def test_custom_runner_bypasses_checkpoints(self, tmp_path):
         engine = ExperimentEngine(jobs=1, cache=ResultCache(tmp_path),
@@ -433,8 +435,7 @@ class TestCheckpointWaves:
 
         monkeypatch.setattr(engine, "_run_pool", spy)
         results = engine.run_many(grid)
-        fresh = ExperimentEngine(jobs=1, use_cache=False,
-                                 use_checkpoints=False).run_many(grid)
+        fresh = ExperimentEngine(jobs=1, use_cache=False).run_many(grid)
         for a, b in zip(results, fresh):
             assert dataclasses.asdict(a) == dataclasses.asdict(b)
         return waves, engine.stats

@@ -316,8 +316,8 @@ class TestGroupTaskDeath:
         engine = ExperimentEngine(jobs=2,
                                   cache=ResultCache(tmp_path / "cache"))
         results = engine.run_many(grid)
-        serial = ExperimentEngine(jobs=1, use_cache=False,
-                                  use_checkpoints=False).run_many(grid)
+        serial = ExperimentEngine(jobs=1,
+                                  use_cache=False).run_many(grid)
         for a, b in zip(results, serial):
             assert dataclasses.asdict(a) == dataclasses.asdict(b)
         assert not [path for path in tmp_path.rglob("*")

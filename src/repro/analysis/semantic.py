@@ -20,11 +20,11 @@ REP102
     the per-cycle loop must observe *frozen* gating state.
 
 REP103
-    SoA view discipline.  The SoA backing arrays (``UnitBank.ops`` /
-    ``busy_cycles`` / ``turnoff_events``, the issue-queue ``_c``
-    counter block, regfile ``_port_reads``/``_writes``) are mutated
-    only inside ``repro/pipeline/``, where the write-through views and
-    the kernel flush live.  Everything else reads through views.
+    SoA view discipline.  The SoA backing arrays (``UnitBank.ops``,
+    the issue-queue ``_c`` counter block, regfile
+    ``_port_reads``/``_writes``) are mutated only inside
+    ``repro/pipeline/``, where the write-through views and the kernel
+    flush live.  Everything else reads through views.
 
 REP104
     Kernel/reference counter parity.  Every SoA counter the
@@ -267,8 +267,7 @@ class MacroStepContractRule(DeepRule):
 # ---------------------------------------------------------------------------
 
 #: Attribute names of SoA counter backing arrays.
-_COUNTER_ATTRS = frozenset({"ops", "busy_cycles", "turnoff_events",
-                            "_c", "_port_reads", "_writes"})
+_COUNTER_ATTRS = frozenset({"ops", "_c", "_port_reads", "_writes"})
 
 
 def _alias_maps(index: ProjectIndex) -> Dict[Tuple[str, str], str]:
@@ -379,13 +378,12 @@ class _CounterWrites:
 class SoaViewDisciplineRule(DeepRule):
     """REP103: SoA backing arrays are mutated only in repro/pipeline/.
 
-    ``UnitBank.ops``/``busy_cycles``/``turnoff_events``, the
-    issue-queue ``_c`` counter block and the regfile
-    ``_port_reads``/``_writes`` arrays are implementation storage;
-    outside the pipeline package (where the write-through views and
-    the kernel flush live) they are read-only.  Mutation from
-    observability, power accounting or experiment code must go through
-    the public counter views.
+    ``UnitBank.ops``, the issue-queue ``_c`` counter block and the
+    regfile ``_port_reads``/``_writes`` arrays are implementation
+    storage; outside the pipeline package (where the write-through
+    views and the kernel flush live) they are read-only.  Mutation
+    from observability, power accounting or experiment code must go
+    through the public counter views.
     """
 
     rule_id = "REP103"

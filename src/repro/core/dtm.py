@@ -40,10 +40,6 @@ class DTMStats:
     samples: int = 0
     global_stalls: int = 0
     stall_reasons: Dict[str, int] = field(default_factory=dict)
-    iq_toggles: int = 0
-    alu_turnoffs: int = 0
-    fp_adder_turnoffs: int = 0
-    rf_turnoffs: int = 0
 
     def record_stall(self, reason: str) -> None:
         self.global_stalls += 1
@@ -176,10 +172,8 @@ class ThermalManager:
         int_halves = (temps["IntQ0"], temps["IntQ1"])
         fp_halves = (temps["FPQ0"], temps["FPQ1"])
         if self.int_toggler is not None and not already_stalled:
-            if self.int_toggler.observe(int_halves):
-                self.stats.iq_toggles += 1
-            if self.fp_toggler.observe(fp_halves):
-                self.stats.iq_toggles += 1
+            self.int_toggler.observe(int_halves)
+            self.fp_toggler.observe(fp_halves)
         if max(int_halves) >= tmax or max(fp_halves) >= tmax:
             self._stall(processor, "issue_queue", already_stalled)
 
@@ -189,9 +183,6 @@ class ThermalManager:
         if self.alu_controller is not None:
             all_int_off = self.alu_controller.observe(int_alu_temps)
             all_fp_off = self.fp_adder_controller.observe(fp_add_temps)
-            self.stats.alu_turnoffs = self.alu_controller.stats.turnoff_events
-            self.stats.fp_adder_turnoffs = (
-                self.fp_adder_controller.stats.turnoff_events)
             if all_int_off or all_fp_off:
                 self._stall(processor, "all_alus_off", already_stalled)
         else:
@@ -203,7 +194,6 @@ class ThermalManager:
         if self.rf_controller is not None:
             if self.rf_controller.observe(rf_temps):
                 self._stall(processor, "all_rf_copies_off", already_stalled)
-            self.stats.rf_turnoffs = self.rf_controller.stats.turnoff_events
         else:
             if max(rf_temps) >= tmax:
                 self._stall(processor, "regfile", already_stalled)

@@ -88,10 +88,7 @@ class FineGrainController:
         for copy, temp in enumerate(temps):
             if not self.off[copy] and temp >= self.trigger_k:
                 self.off[copy] = True
-                # TurnoffStats.turnoff_events is a plain int tally on
-                # the stats dataclass, not the UnitBank SoA array of
-                # the same name.
-                self.stats.turnoff_events += 1  # repro: noqa[REP103]
+                self.stats.turnoff_events += 1
                 self.stats.per_copy[copy] += 1
                 self._turn_off(copy)
                 if self.tracer is not None:

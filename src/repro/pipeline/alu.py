@@ -17,10 +17,10 @@ reference loop's execute and writeback; the macro-step kernel inlines
 both on the same ``_pipeline`` records and derives each unit's op
 count from its select tree's grants.
 
-Activity counters live in a shared per-bank :class:`~repro.pipeline.
-soa.UnitBank` (struct-of-arrays, one slot per unit) so the macro-step
-kernel can charge a whole sensing interval with vectorized array
-updates; :class:`ALUCounters` is the per-unit view preserving the
+Op counts live in a shared per-bank :class:`~repro.pipeline.soa.
+UnitBank` (struct-of-arrays, one slot per unit) so the macro-step
+kernel can charge a whole sensing interval with one vector add;
+:class:`ALUCounters` is the per-unit view preserving the
 ``unit.counters.ops`` read API.
 """
 
@@ -52,7 +52,7 @@ FP_MUL_OPCLASSES: Set[OpClass] = {OpClass.FP_MUL}
 
 class ALUCounters:
     """Cumulative per-unit activity: a view over one slot of the
-    bank's SoA arrays (reads and writes go straight to the arrays)."""
+    bank's SoA ops array (reads and writes go straight to it)."""
 
     __slots__ = ("_bank", "_slot")
 
@@ -68,31 +68,12 @@ class ALUCounters:
     def ops(self, value: int) -> None:
         self._bank.ops[self._slot] = value
 
-    @property
-    def busy_cycles(self) -> int:
-        return int(self._bank.busy_cycles[self._slot])
-
-    @busy_cycles.setter
-    def busy_cycles(self, value: int) -> None:
-        self._bank.busy_cycles[self._slot] = value
-
-    @property
-    def turnoff_events(self) -> int:
-        return int(self._bank.turnoff_events[self._slot])
-
-    @turnoff_events.setter
-    def turnoff_events(self, value: int) -> None:
-        self._bank.turnoff_events[self._slot] = value
-
     def values(self) -> Dict[str, int]:
         """Plain-int snapshot (checkpoint payload)."""
-        return {"ops": self.ops, "busy_cycles": self.busy_cycles,
-                "turnoff_events": self.turnoff_events}
+        return {"ops": self.ops}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"ALUCounters(ops={self.ops}, "
-                f"busy_cycles={self.busy_cycles}, "
-                f"turnoff_events={self.turnoff_events})")
+        return f"ALUCounters(ops={self.ops})"
 
 
 @dataclass(slots=True)
@@ -174,10 +155,6 @@ class FunctionalUnit:
 
     def set_busy(self, value: bool) -> None:
         """Fine-grain turnoff: mark the unit busy so select skips it."""
-        if value == self.busy:
-            return
-        if value:
-            self._bank.turnoff_events[self._slot] += 1
         self.busy = value
 
     # ------------------------------------------------------------------
@@ -190,11 +167,7 @@ class FunctionalUnit:
 
     def restore_state(self, state: Dict[str, Any]) -> None:
         self.busy = state["busy"]
-        values = state["counters"]
-        slot = self._slot
-        self._bank.ops[slot] = values["ops"]
-        self._bank.busy_cycles[slot] = values["busy_cycles"]
-        self._bank.turnoff_events[slot] = values["turnoff_events"]
+        self._bank.ops[self._slot] = state["counters"]["ops"]
         self._pipeline = list(state["pipeline"])
         self._blocked_until = state["blocked_until"]
         self._next_finish = min(

@@ -105,8 +105,6 @@ class MemoryHierarchy:
         self.config = config
         self.l1d = Cache(config.l1d, "l1d")
         self.l2 = Cache(config.l2, "l2")
-        self.loads = 0
-        self.stores = 0
         # Pre-summed latencies for the three load outcomes.
         self._l1_lat = config.l1d.latency
         self._l2_lat = config.l1d.latency + config.l2.latency
@@ -115,7 +113,6 @@ class MemoryHierarchy:
 
     def load_latency(self, addr: int) -> int:  # repro: hot-loop
         """Total load latency in cycles for a load to ``addr``."""
-        self.loads += 1
         if self.l1d.access(addr):
             return self._l1_lat
         if self.l2.access(addr):
@@ -124,7 +121,6 @@ class MemoryHierarchy:
 
     def store(self, addr: int) -> None:
         """Record a committed store (write-allocate into L1/L2)."""
-        self.stores += 1
         if not self.l1d.access(addr):
             self.l2.access(addr)
 
@@ -145,11 +141,8 @@ class MemoryHierarchy:
     # ------------------------------------------------------------------
     def snapshot_state(self) -> Dict[str, Any]:
         return {"l1d": self.l1d.snapshot_state(),
-                "l2": self.l2.snapshot_state(),
-                "loads": self.loads, "stores": self.stores}
+                "l2": self.l2.snapshot_state()}
 
     def restore_state(self, state: Dict[str, Any]) -> None:
         self.l1d.restore_state(state["l1d"])
         self.l2.restore_state(state["l2"])
-        self.loads = state["loads"]
-        self.stores = state["stores"]

@@ -45,9 +45,8 @@ from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
 from .isa import MicroOp
 from .soa import (IQC_BROADCASTS, IQC_COMPACTION_MOVES_0, IQC_CYCLES,
                   IQC_COUNTER_EVALS_0, IQC_COUNTER_EVALS_1, IQC_INSERTS,
-                  IQC_LONG_MOVES_0, IQC_MUX_SELECTS_0, IQC_OCCUPANCY_SUM,
-                  IQC_PAYLOAD_OPS, IQC_SELECT_GRANTS, IQC_TOGGLES,
-                  new_iq_counter_array)
+                  IQC_LONG_MOVES_0, IQC_OCCUPANCY_SUM, IQC_PAYLOAD_OPS,
+                  IQC_SELECT_GRANTS, new_iq_counter_array)
 
 
 class QueueMode(enum.Enum):
@@ -86,8 +85,6 @@ class IssueQueueCounters:
 
     #: Actual entry movements (defragmentation shifts).
     compaction_moves: List[int] = field(default_factory=lambda: [0, 0])
-    #: Destination slots receiving a new value.
-    mux_selects: List[int] = field(default_factory=lambda: [0, 0])
     #: Movements that crossed the physical wrap (long wires).
     long_moves: List[int] = field(default_factory=lambda: [0, 0])
     #: Entry-cycles with compaction logic enabled: a valid entry whose
@@ -101,16 +98,14 @@ class IssueQueueCounters:
     select_grants: int = 0
     inserts: int = 0
     cycles: int = 0
-    toggles: int = 0
     #: Sum of per-cycle occupancy (for windowed averages).
     occupancy_sum: int = 0
 
     def snapshot(self) -> "IssueQueueCounters":
         return IssueQueueCounters(
-            list(self.compaction_moves), list(self.mux_selects),
-            list(self.long_moves), list(self.counter_evals),
-            self.broadcasts, self.payload_ops, self.select_grants,
-            self.inserts, self.cycles, self.toggles,
+            list(self.compaction_moves), list(self.long_moves),
+            list(self.counter_evals), self.broadcasts, self.payload_ops,
+            self.select_grants, self.inserts, self.cycles,
             self.occupancy_sum,
         )
 
@@ -166,10 +161,6 @@ class IssueQueueCounterView:
         return _HalfPair(self._c, IQC_COMPACTION_MOVES_0)
 
     @property
-    def mux_selects(self) -> _HalfPair:
-        return _HalfPair(self._c, IQC_MUX_SELECTS_0)
-
-    @property
     def long_moves(self) -> _HalfPair:
         return _HalfPair(self._c, IQC_LONG_MOVES_0)
 
@@ -198,10 +189,6 @@ class IssueQueueCounterView:
         return int(self._c[IQC_CYCLES])
 
     @property
-    def toggles(self) -> int:
-        return int(self._c[IQC_TOGGLES])
-
-    @property
     def occupancy_sum(self) -> int:
         return int(self._c[IQC_OCCUPANCY_SUM])
 
@@ -210,12 +197,11 @@ class IssueQueueCounterView:
         v = self._c.tolist()
         return IssueQueueCounters(
             v[IQC_COMPACTION_MOVES_0:IQC_COMPACTION_MOVES_0 + 2],
-            v[IQC_MUX_SELECTS_0:IQC_MUX_SELECTS_0 + 2],
             v[IQC_LONG_MOVES_0:IQC_LONG_MOVES_0 + 2],
             v[IQC_COUNTER_EVALS_0:IQC_COUNTER_EVALS_1 + 1],
             v[IQC_BROADCASTS], v[IQC_PAYLOAD_OPS],
             v[IQC_SELECT_GRANTS], v[IQC_INSERTS], v[IQC_CYCLES],
-            v[IQC_TOGGLES], v[IQC_OCCUPANCY_SUM],
+            v[IQC_OCCUPANCY_SUM],
         )
 
     def restore(self, values: IssueQueueCounters) -> None:
@@ -223,7 +209,6 @@ class IssueQueueCounterView:
         c = self._c
         c[IQC_COMPACTION_MOVES_0:IQC_COMPACTION_MOVES_0 + 2] = (
             values.compaction_moves)
-        c[IQC_MUX_SELECTS_0:IQC_MUX_SELECTS_0 + 2] = values.mux_selects
         c[IQC_LONG_MOVES_0:IQC_LONG_MOVES_0 + 2] = values.long_moves
         c[IQC_COUNTER_EVALS_0:IQC_COUNTER_EVALS_1 + 1] = (
             values.counter_evals)
@@ -232,7 +217,6 @@ class IssueQueueCounterView:
         c[IQC_SELECT_GRANTS] = values.select_grants
         c[IQC_INSERTS] = values.inserts
         c[IQC_CYCLES] = values.cycles
-        c[IQC_TOGGLES] = values.toggles
         c[IQC_OCCUPANCY_SUM] = values.occupancy_sum
 
 
@@ -252,7 +236,7 @@ class CompactingIssueQueue:
         self.mode = QueueMode.NORMAL
         self.slots: List[Optional[IQEntry]] = [None] * n_entries
         #: SoA counter storage (slot layout in repro.pipeline.soa): the
-        #: 15-slot ``storage`` view given, else an array of its own.
+        #: 12-slot ``storage`` view given, else an array of its own.
         self._c = new_iq_counter_array() if storage is None else storage
         self.counters = IssueQueueCounterView(self._c)
         self._now = 0
@@ -423,7 +407,7 @@ class CompactingIssueQueue:
         c[IQC_OCCUPANCY_SUM] += self._top - self._holes
         if self._holes == 0 and not self._pending_removal:
             return  # fully compacted, nothing marked invalid: all gated
-        ce0, ce1, cm0, cm1, mx0, mx1, lm0, lm1 = self._compact()
+        ce0, ce1, cm0, cm1, lm0, lm1 = self._compact()
         if ce0:
             c[IQC_COUNTER_EVALS_0] += ce0
         if ce1:
@@ -432,20 +416,16 @@ class CompactingIssueQueue:
             c[IQC_COMPACTION_MOVES_0] += cm0
         if cm1:
             c[IQC_COMPACTION_MOVES_0 + 1] += cm1
-        if mx0:
-            c[IQC_MUX_SELECTS_0] += mx0
-        if mx1:
-            c[IQC_MUX_SELECTS_0 + 1] += mx1
         if lm0:
             c[IQC_LONG_MOVES_0] += lm0
         if lm1:
             c[IQC_LONG_MOVES_0 + 1] += lm1
 
-    def _compact(self) -> Tuple[int, int, int, int, int, int, int, int]:
+    def _compact(self) -> Tuple[int, int, int, int, int, int]:
         # repro: hot-loop
         """One compaction step.  Returns the per-half activity tallies
-        ``(ce0, ce1, cm0, cm1, mx0, mx1, lm0, lm1)`` — counter evals,
-        compaction moves, mux selects, long moves — instead of flushing
+        ``(ce0, ce1, cm0, cm1, lm0, lm1)`` — counter evals, compaction
+        moves, long moves — instead of flushing
         them to the SoA array itself: :meth:`tick` applies them per
         call, while the macro-step kernel accumulates them in plain
         locals and flushes once per chunk (a numpy scalar add per tick
@@ -453,7 +433,7 @@ class CompactingIssueQueue:
         window = self.replay_window
         now = self._now
         order, slots = self._order, self.slots
-        ce0 = ce1 = cm0 = cm1 = mx0 = mx1 = lm0 = lm1 = 0
+        ce0 = ce1 = cm0 = cm1 = lm0 = lm1 = 0
         compact_width = self.compact_width
         n = self.n_entries
         mid = self.mid
@@ -507,10 +487,6 @@ class CompactingIssueQueue:
                     cm0 += 1
                 else:
                     cm1 += 1
-                if dst_phys < mid:
-                    mx0 += 1
-                else:
-                    mx1 += 1
                 if toggled and logical >= boundary > dst_logical:
                     if src_low:
                         lm0 += 1
@@ -524,7 +500,7 @@ class CompactingIssueQueue:
             self._pending_removal = [  # repro: noqa[REP007]
                 e for e in self._pending_removal
                 if now - e.issued_at < window]
-        return ce0, ce1, cm0, cm1, mx0, mx1, lm0, lm1
+        return ce0, ce1, cm0, cm1, lm0, lm1
 
     # ------------------------------------------------------------------
     # activity toggling (the paper's technique)
@@ -533,7 +509,6 @@ class CompactingIssueQueue:
         """Switch head/tail configuration without moving entries."""
         self.mode = (QueueMode.TOGGLED if self.mode is QueueMode.NORMAL
                      else QueueMode.NORMAL)
-        self._c[IQC_TOGGLES] += 1
         self._rebuild_order()
 
     def flush(self) -> None:

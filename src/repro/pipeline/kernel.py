@@ -9,7 +9,7 @@ cycles) at a time:
 
 * every attribute chain the cycle body touches is hoisted into a local
   exactly once per macro-step and flushed back when the step ends;
-* scalar counters (stats, fetch bookkeeping, issue-queue/select/regfile
+* scalar counters (stats, fetch bookkeeping, issue-queue/regfile
   activity) accumulate in plain locals and land in the SoA arrays
   (:mod:`repro.pipeline.soa`) as a handful of vectorized adds per
   macro-step instead of per-cycle attribute bumps;
@@ -23,9 +23,9 @@ stall/throttle windows) is only mutated by the DTM controller, which
 runs exclusively in the ``on_sample`` boundary hook — so it is constant
 within a macro-step, and every local is re-hoisted after each boundary.
 Within a cycle the kernel preserves the reference stage order and its
-exact side-effect order (memory-hierarchy LRU touches, select-counter
-updates, wakeup broadcasts…), which is what makes the result
-bit-identical to the reference loop.
+exact side-effect order (memory-hierarchy LRU touches, wakeup
+broadcasts…), which is what makes the result bit-identical to the
+reference loop.
 
 ``REPRO_KERNEL=0`` disables the kernel and runs the original
 per-cycle reference loop in :meth:`Processor.run`; the test suite
@@ -46,8 +46,8 @@ from .issue_queue import IQEntry, QueueMode
 from .rob import ROBEntry
 from .soa import (IQC_BROADCASTS, IQC_COMPACTION_MOVES_0,
                   IQC_COUNTER_EVALS_0, IQC_COUNTER_EVALS_1, IQC_CYCLES,
-                  IQC_INSERTS, IQC_LONG_MOVES_0, IQC_MUX_SELECTS_0,
-                  IQC_OCCUPANCY_SUM, IQC_PAYLOAD_OPS, IQC_SELECT_GRANTS)
+                  IQC_INSERTS, IQC_LONG_MOVES_0, IQC_OCCUPANCY_SUM,
+                  IQC_PAYLOAD_OPS, IQC_SELECT_GRANTS)
 from ..workloads.trace import ReplayTrace as _ReplayTrace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -116,8 +116,8 @@ def _run_chunk(proc: "Processor", n_cycles: int) -> Tuple[int, bool]:
     chunk is rank order: the logical position at the hoist, then a
     dispatch counter starting past every position.  Dispatch appends,
     a wakeup insorts, a grant deletes the granted prefix.  Counters
-    that follow from the grants (issued ops, queue grants, unit ops,
-    register-file reads) are derived once, in the flush.
+    that follow from the grants (queue grants, unit ops, register-file
+    reads) are derived once, in the flush.
     """
     # ---- hoist: everything the cycle body touches ---------------------
     now = proc.now
@@ -142,7 +142,6 @@ def _run_chunk(proc: "Processor", n_cycles: int) -> Tuple[int, bool]:
     rob_head = rob._head
     rob_tail = rob._tail
     rob_count = rob._count
-    rob_retired = rob.retired
 
     lsq = proc.lsq
     lsq_count = lsq._count
@@ -247,8 +246,8 @@ def _run_chunk(proc: "Processor", n_cycles: int) -> Tuple[int, bool]:
     int_waiters_pop = int_waiters.pop
     i_low = _low_before(int_iq)
     ic_ticks = ic_occ = ic_bcasts = 0
-    #: Compaction charges [ce0, ce1, cm0, cm1, mx0, mx1, lm0, lm1].
-    ic_acc = [0] * 8
+    #: Compaction charges [ce0, ce1, cm0, cm1, lm0, lm1].
+    ic_acc = [0] * 6
 
     fp_iq = proc.fp_iq
     fq_now = fp_iq._now
@@ -258,29 +257,21 @@ def _run_chunk(proc: "Processor", n_cycles: int) -> Tuple[int, bool]:
     fp_waiters_pop = fp_waiters.pop
     fq_low = _low_before(fp_iq)
     fc_ticks = fc_occ = fc_bcasts = 0
-    fc_acc = [0] * 8
+    fc_acc = [0] * 6
 
     int_sel = proc.int_select
     int_rr = int_sel.round_robin
     int_rr_off = int_sel._rr_offset
     igpt = int_sel.counters.grants_per_tree
     igpt_start = list(igpt)
-    isc_cycles = int_sel.counters.cycles
-    isc_req = int_sel.counters.requests_seen
     fp_sel = proc.fp_add_select
     fp_rr = fp_sel.round_robin
     fp_rr_off = fp_sel._rr_offset
     fgpt = fp_sel.counters.grants_per_tree
     fgpt_start = list(fgpt)
-    fsc_cycles = fp_sel.counters.cycles
-    fsc_req = fp_sel.counters.requests_seen
     mul_sel = proc.fp_mul_select
     mgpt = mul_sel.counters.grants_per_tree
     mgpt_start = mgpt[0]
-    msc_cycles = mul_sel.counters.cycles
-    msc_req = mul_sel.counters.requests_seen
-
-    active_cycles = 0
 
     OC_LOAD = OpClass.LOAD
     OC_STORE = OpClass.STORE
@@ -389,31 +380,26 @@ def _run_chunk(proc: "Processor", n_cycles: int) -> Tuple[int, bool]:
                     span = stop - nxt
                     now = stop - 1
                     st_cycles += span
-                    active_cycles += span
                     f_count = 0
                     i_now += span
                     ic_ticks += span
                     occ = int_iq._top
                     if occ:
                         ic_occ += occ * span
-                        isc_cycles += span
                         if int_rr:
                             int_rr_off = (int_rr_off + span) % n_int
                     fq_now += span
                     fc_ticks += span
                     occ = fp_iq._top
                     if occ:
-                        # issue_width > 0, so the FP-add and FP-mul
-                        # select passes both see every cycle.
+                        # issue_width > 0, so the FP-add select pass
+                        # sees every cycle.
                         fc_occ += occ * span
-                        fsc_cycles += span
-                        msc_cycles += span
                         if fp_rr:
                             fp_rr_off = (fp_rr_off + span) % n_fp
                     continue
             now = nxt
             st_cycles += 1
-            active_cycles += 1
 
             # ---- commit (fused ready_count + retire) -----------------
             if rob_count:
@@ -445,7 +431,6 @@ def _run_chunk(proc: "Processor", n_cycles: int) -> Tuple[int, bool]:
                 if n_commit:
                     rob_head = pos
                     rob_count -= n_commit
-                    rob_retired += n_commit
                     st_committed += n_commit
 
             # ---- writeback (inlined ``FunctionalUnit.drain``) --------
@@ -513,10 +498,8 @@ def _run_chunk(proc: "Processor", n_cycles: int) -> Tuple[int, bool]:
                 # ---- issue (fused select + grant + unit start) -------
                 budget = issue_width
                 if int_iq._top != int_iq._holes:
-                    isc_cycles += 1
                     n_ready = len(i_ready)
                     if n_ready:
-                        isc_req += n_ready
                         cap = budget if budget < n_ready else n_ready
                         taken = 0
                         pairs = []
@@ -579,16 +562,13 @@ def _run_chunk(proc: "Processor", n_cycles: int) -> Tuple[int, bool]:
                                 nf[t] = fin
                             if fin < min_nf:
                                 min_nf = fin
-                            rob_entries[e.rob_index].issued = True
                         budget -= taken
                     if int_rr:
                         int_rr_off = (int_rr_off + 1) % n_int
                 if budget > 0 and fp_iq._top != fp_iq._holes:
-                    fsc_cycles += 1
                     n_ready = len(fa_ready)
                     taken = 0
                     if n_ready:
-                        fsc_req += n_ready
                         cap = budget if budget < n_ready else n_ready
                         pairs = []
                         if fp_rr:
@@ -633,15 +613,12 @@ def _run_chunk(proc: "Processor", n_cycles: int) -> Tuple[int, bool]:
                                 nf[j] = fin
                             if fin < min_nf:
                                 min_nf = fin
-                            rob_entries[e.rob_index].issued = True
                     if fp_rr:
                         fp_rr_off = (fp_rr_off + 1) % n_fp
                     if taken < budget:
                         # FP multiplier pass: add grants never touch
                         # mul entries, so its request set is the
                         # mul-ready list as it stands.
-                        msc_cycles += 1
-                        msc_req += len(fm_ready)
                         if fm_ready and not (fpm_busy
                                              or now < fpm_blocked):
                             e = fm_ready.pop(0)
@@ -662,7 +639,6 @@ def _run_chunk(proc: "Processor", n_cycles: int) -> Tuple[int, bool]:
                                 nf[mul_j] = fin
                             if fin < min_nf:
                                 min_nf = fin
-                            rob_entries[e.rob_index].issued = True
 
                 # ---- queue tick (compaction) -------------------------
                 i_now += 1
@@ -732,7 +708,6 @@ def _run_chunk(proc: "Processor", n_cycles: int) -> Tuple[int, bool]:
                         r.dst_tag = dst_tag
                         r.freed_tag = freed
                         r.done = False
-                        r.issued = False
                         rob_entries[rob_tail] = r
                         rob_index = rob_tail
                         rob_tail += 1
@@ -834,14 +809,12 @@ def _run_chunk(proc: "Processor", n_cycles: int) -> Tuple[int, bool]:
         st.committed = st_committed
         st.stall_cycles = st_stall
         st.throttled_cycles = st_throttled
-        st.issued += i_grants + f_grants
         # The free set is the list's O(1) double-release guard for the
         # reference loop; the kernel never consults it.
         rename._free_set = set(free_list)
         rob._head = rob_head
         rob._tail = rob_tail
         rob._count = rob_count
-        rob.retired = rob_retired
         lsq._count = lsq_count
         fetch.fetched = f_fetched
         fetch.exhausted = f_exhausted
@@ -864,10 +837,8 @@ def _run_chunk(proc: "Processor", n_cycles: int) -> Tuple[int, bool]:
         c[IQC_COUNTER_EVALS_1] += ic_acc[1]
         c[IQC_COMPACTION_MOVES_0] += ic_acc[2]
         c[IQC_COMPACTION_MOVES_0 + 1] += ic_acc[3]
-        c[IQC_MUX_SELECTS_0] += ic_acc[4]
-        c[IQC_MUX_SELECTS_0 + 1] += ic_acc[5]
-        c[IQC_LONG_MOVES_0] += ic_acc[6]
-        c[IQC_LONG_MOVES_0 + 1] += ic_acc[7]
+        c[IQC_LONG_MOVES_0] += ic_acc[4]
+        c[IQC_LONG_MOVES_0 + 1] += ic_acc[5]
         c = fp_iq._c
         c[IQC_CYCLES] += fc_ticks
         c[IQC_OCCUPANCY_SUM] += fc_occ
@@ -879,18 +850,10 @@ def _run_chunk(proc: "Processor", n_cycles: int) -> Tuple[int, bool]:
         c[IQC_COUNTER_EVALS_1] += fc_acc[1]
         c[IQC_COMPACTION_MOVES_0] += fc_acc[2]
         c[IQC_COMPACTION_MOVES_0 + 1] += fc_acc[3]
-        c[IQC_MUX_SELECTS_0] += fc_acc[4]
-        c[IQC_MUX_SELECTS_0 + 1] += fc_acc[5]
-        c[IQC_LONG_MOVES_0] += fc_acc[6]
-        c[IQC_LONG_MOVES_0 + 1] += fc_acc[7]
-        int_sel.counters.cycles = isc_cycles
-        int_sel.counters.requests_seen = isc_req
+        c[IQC_LONG_MOVES_0] += fc_acc[4]
+        c[IQC_LONG_MOVES_0 + 1] += fc_acc[5]
         int_sel._rr_offset = int_rr_off
-        fp_sel.counters.cycles = fsc_cycles
-        fp_sel.counters.requests_seen = fsc_req
         fp_sel._rr_offset = fp_rr_off
-        mul_sel.counters.cycles = msc_cycles
-        mul_sel.counters.requests_seen = msc_req
         # An op reads its operands through the ALU's two ports in
         # order: one operand fires port 0, two fire both.
         rf_read_acc: List[int] = []
@@ -912,10 +875,6 @@ def _run_chunk(proc: "Processor", n_cycles: int) -> Tuple[int, bool]:
             proc._fp_add_bank.ops += fp_ops
         if mul_ops:
             proc._fp_mul_bank.ops[0] += mul_ops
-        if active_cycles:
-            for unit in units:
-                if unit.busy:
-                    unit._bank.busy_cycles[unit._slot] += active_cycles
     return now - start_cycle, finished
 
 
@@ -936,8 +895,8 @@ def _low_before(queue: "CompactingIssueQueue") -> List[int]:
 def _compact_queue(queue: "CompactingIssueQueue", now: int,
                    acc: List[int], low: List[int]) -> None:
     """One compaction tick of ``queue`` at queue cycle ``now``, adding
-    its per-half charges to ``acc`` (``[ce0, ce1, cm0, cm1, mx0, mx1,
-    lm0, lm1]``, the tally order of
+    its per-half charges to ``acc`` (``[ce0, ce1, cm0, cm1, lm0,
+    lm1]``, the tally order of
     :meth:`CompactingIssueQueue._compact`); ``low`` is
     :func:`_low_before` of the queue.
 
@@ -951,10 +910,10 @@ def _compact_queue(queue: "CompactingIssueQueue", now: int,
       deletes the cohort from the logical order and leaves no holes;
     * an entry evaluates its counter stages when an invalid-marked
       (issued) entry sits below it, i.e. above the first issued
-      position; it moves, and its destination mux selects, when a
-      cohort entry sits below it; in toggled mode a move is long when
-      it crosses logical position ``mid`` (physical slot 0) and is
-      charged to the lower half it starts in.
+      position; it moves when a cohort entry sits below it; in
+      toggled mode a move is long when it crosses logical position
+      ``mid`` (physical slot 0) and is charged to the lower half it
+      starts in.
 
     With nothing expiring (the dense case) only the evaluations apply.
     Holes, or a cohort wider than ``compact_width``, fall back to the
@@ -971,15 +930,13 @@ def _compact_queue(queue: "CompactingIssueQueue", now: int,
             expiring += 1
     if queue._holes or expiring > queue.compact_width:
         queue._now = now
-        t0, t1, t2, t3, t4, t5, t6, t7 = queue._compact()
+        t0, t1, t2, t3, t4, t5 = queue._compact()
         acc[0] += t0
         acc[1] += t1
         acc[2] += t2
         acc[3] += t3
         acc[4] += t4
         acc[5] += t5
-        acc[6] += t6
-        acc[7] += t7
         return
     slots = queue.slots
     order = queue._order
@@ -1040,9 +997,6 @@ def _compact_queue(queue: "CompactingIssueQueue", now: int,
     cm0 = low[top] - low[c1 + 1] - rest_low
     acc[2] += cm0
     acc[3] += moves - cm0
-    mx0 = low[dst_top] - low[c1]
-    acc[4] += mx0
-    acc[5] += moves - mx0
     if toggled:
         # Long moves: movers landing below mid, minus the movers that
         # started below it (logical < mid is the upper physical half,
@@ -1051,7 +1005,7 @@ def _compact_queue(queue: "CompactingIssueQueue", now: int,
         if landing > 0:
             started = ((mid if mid < top else top) - c1 - 1
                        - (expiring - 1 - rest_low))
-            acc[6] += landing - started
+            acc[4] += landing - started
     queue._top = dst_top
     del pending[:expiring]
 
@@ -1140,33 +1094,12 @@ class _ExecClass:
         self.followers = followers
         self.remaining = remaining
         # Leader-row snapshot delimiting the next broadcast delta;
-        # refreshed after every boundary (so the leader's own DTM
-        # counter bumps — which followers make on their own rows —
-        # never leak into the execution delta).
+        # refreshed after every boundary.
         self.prev_row = (leader.proc.counter_row.copy() if followers
                          else None)
         self.done = False
         self.at_boundary = False
         self.finished = False
-
-
-def _effective_gating(proc: "Processor") -> tuple:
-    """The gating tuple with stall/throttle deadlines normalized to
-    cycles-remaining.
-
-    An expired deadline is semantically inert — ``is_stalled``, the
-    kernel's stall gate, and ``global_stall``'s ``max(old, now + c)``
-    all behave identically for any past value — so two runs whose
-    deadlines differ only in *when they expired* share their execution
-    exactly.  Comparing normalized deadlines keeps such runs in one
-    class instead of forking on dead state.
-    """
-    stalled, throttled, *rest = proc.capture_gating()
-    now = proc.now
-    stalled -= now
-    throttled -= now
-    return (stalled if stalled > 0 else 0,
-            throttled if throttled > 0 else 0, *rest)
 
 
 def run_batch(runs: List[BatchRun],
@@ -1240,10 +1173,10 @@ def run_batch(runs: List[BatchRun],
                 _sync_scalars(follower.proc, proc)
             on_boundary([cls.leader, *cls.followers])
             if cls.followers:
-                gate = _effective_gating(proc)
+                gate = proc.capture_gating()
                 kept: List[BatchRun] = []
                 for follower in cls.followers:
-                    if _effective_gating(follower.proc) == gate:
+                    if follower.proc.capture_gating() == gate:
                         kept.append(follower)
                         continue
                     # Diverged: fork into a class of its own.
@@ -1303,11 +1236,11 @@ def _adopt_leader_state(run: BatchRun, leader: "Processor") -> None:
     run's own counters and DTM gating decisions.
 
     The leader snapshot is post-DTM, but the DTM mutates only gating
-    state (plus counters on its own row), so restoring it and then
-    overlaying this run's own gating tuple reconstructs exactly the
-    state this run would have reached executing alone.  The run's
-    trace cursor is repositioned to the leader's; one pickle round trip
-    per adopting run keeps forked siblings from sharing mutable state.
+    state, so restoring it and then overlaying this run's own gating
+    tuple reconstructs exactly the state this run would have reached
+    executing alone.  The run's trace cursor is repositioned to the
+    leader's; one pickle round trip per adopting run keeps forked
+    siblings from sharing mutable state.
     """
     proc = run.proc
     own_row = proc.counter_row.copy()

@@ -55,7 +55,6 @@ class ProcessorStats:
     committed: int = 0
     stall_cycles: int = 0
     throttled_cycles: int = 0
-    issued: int = 0
 
     @property
     def ipc(self) -> float:
@@ -119,12 +118,11 @@ class Processor:
 
         # Every SoA activity counter of this core lives in one int64
         # row, and each component is built on views of it: the three
-        # unit banks ((3, n) blocks: ops, busy cycles, turnoff events),
-        # the two queues' 15 slots, then the register file's per-port
-        # reads and per-copy writes.  A batched group moves a run's
-        # whole activity as this one row.
+        # unit banks' op counts, the two queues' 12 slots, then the
+        # register file's per-port reads and per-copy writes.  A
+        # batched group moves a run's whole activity as this one row.
         n_alus, n_adders = cfg.num_int_alus, cfg.num_fp_adders
-        widths = (3 * n_alus, 3 * n_adders, 3, IQC_NFIELDS, IQC_NFIELDS,
+        widths = (n_alus, n_adders, 1, IQC_NFIELDS, IQC_NFIELDS,
                   2 * n_alus + self.mapping.n_copies)
         self.counter_row = np.zeros(sum(widths), dtype=np.int64)
         (int_units, fp_add_units, fp_mul_unit, int_iq, fp_iq,
@@ -137,10 +135,9 @@ class Processor:
                                           cfg.issue_width,
                                           replay_window=cfg.replay_window,
                                           storage=fp_iq)
-        self.int_alus = make_int_alus(n_alus, int_units.reshape(3, n_alus))
-        self.fp_adders = make_fp_adders(
-            n_adders, fp_add_units.reshape(3, n_adders))
-        self.fp_mul = make_fp_multiplier(fp_mul_unit.reshape(3, 1))
+        self.int_alus = make_int_alus(n_alus, int_units)
+        self.fp_adders = make_fp_adders(n_adders, fp_add_units)
+        self.fp_mul = make_fp_multiplier(fp_mul_unit)
         self.int_select = SelectNetwork(cfg.int_queue_entries,
                                         cfg.num_int_alus,
                                         round_robin=round_robin_alus)
@@ -243,9 +240,6 @@ class Processor:
             return
         self._commit()
         self._writeback()
-        for unit in self._all_units:
-            if unit.busy:
-                unit._bank.busy_cycles[unit._slot] += 1
         if now < self.throttled_until and now % 2:
             stats.throttled_cycles += 1
             return  # gated cycle: in-flight work drained, nothing new
@@ -365,8 +359,6 @@ class Processor:
             self.regfile.read_for_issue(alu_index, n_operands)
             self.int_alus[alu_index].start(op, entry.rob_index, self.now,
                                            extra_latency=extra)
-            self.rob.get(entry.rob_index).issued = True
-            self.stats.issued += 1
             issued += 1
         return issued
 
@@ -387,8 +379,6 @@ class Processor:
                                      + (op.src2 is not None))
             self.fp_adders[unit_index].start(op, entry.rob_index,
                                              self.now)
-            self.rob.get(entry.rob_index).issued = True
-            self.stats.issued += 1
             issued += 1
         if issued < budget:
             busy_mul = [self.fp_mul.busy
@@ -403,8 +393,6 @@ class Processor:
                 self.fp_reg_accesses += ((op.src1 is not None)
                                          + (op.src2 is not None))
                 self.fp_mul.start(op, entry.rob_index, self.now)
-                self.rob.get(entry.rob_index).issued = True
-                self.stats.issued += 1
                 issued += 1
         return issued
 
@@ -532,9 +520,7 @@ class Processor:
         Used when a batched run forks off its class: the leader's
         pipeline state is restored wholesale, then the run's own DTM
         decisions — which are exactly the gating tuple — are re-applied
-        on top.  Busy flags are set directly (their ``turnoff_events``
-        bumps already happened on this run's own counter row), and the
-        register-file block set is recomputed.
+        on top.
         """
         (self.stalled_until, self.throttled_until,
          int_mode, fp_mode, busy_flags, alu_held, off_copies) = gating
@@ -545,9 +531,7 @@ class Processor:
         for unit, flag in zip(self._all_units, busy_flags):
             unit.busy = flag
         self._alu_held = list(alu_held)
-        regfile = self.regfile
-        regfile._off = set(off_copies)
-        regfile._recompute_blocked()
+        self.regfile._off = set(off_copies)
 
     # ------------------------------------------------------------------
     # power-model interface

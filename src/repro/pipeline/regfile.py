@@ -179,9 +179,6 @@ class RegisterFileBank:
         self.counters = RegFileCounters(self._port_reads, self._writes,
                                         mapping)
         self._off: Set[int] = set()
-        #: Cached union of the mapped ALUs of every turned-off copy,
-        #: maintained by turn_off/turn_on — issue reads it every cycle.
-        self._blocked: Set[int] = set()
 
     # ------------------------------------------------------------------
     # access accounting
@@ -216,14 +213,12 @@ class RegisterFileBank:
         if not 0 <= copy < self.n_copies:
             raise IndexError(copy)
         self._off.add(copy)
-        self._recompute_blocked()
         return self.mapping.alus_on_copy(copy)
 
     def turn_on(self, copy: int) -> List[int]:
         """Re-enable ``copy``; returns the ALUs that may unblock
         (callers must check their other port's copy too)."""
         self._off.discard(copy)
-        self._recompute_blocked()
         return self.mapping.alus_on_copy(copy)
 
     def is_off(self, copy: int) -> bool:
@@ -235,24 +230,21 @@ class RegisterFileBank:
     def blocked_alus(self) -> Set[int]:
         """ALUs unusable because one of their port copies is off.
 
-        Returns the maintained set (treat as read-only); it changes
-        only on turn_off/turn_on, not per cycle.
+        Computed on each call; its callers run at sampling boundaries
+        (issue reads the busy flags, which cover every blocked ALU).
         """
-        return self._blocked
-
-    def _recompute_blocked(self) -> None:
         blocked: Set[int] = set()
         for copy in sorted(self._off):
             blocked.update(self.mapping.alus_on_copy(copy))
-        self._blocked = blocked
+        return blocked
 
     # ------------------------------------------------------------------
     # warm-state checkpointing (repro.sim.checkpoint)
     # ------------------------------------------------------------------
     def snapshot_state(self) -> Dict[str, Any]:
         """Counters and turned-off copies: nothing that depends on the
-        port mapping (the blocked ALUs are derived on restore), so a
-        warm state restores into a run of any mapping."""
+        port mapping (the blocked ALUs are derived from the off copies),
+        so a warm state restores into a run of any mapping."""
         return {"counters": {"port_reads": self.counters.port_reads,
                              "writes": self.counters.writes},
                 "off": self._off}
@@ -262,4 +254,3 @@ class RegisterFileBank:
         self._port_reads[:] = values["port_reads"]
         self._writes[:] = values["writes"]
         self._off = set(state["off"])
-        self._recompute_blocked()

@@ -9,7 +9,7 @@ trace driven (addresses are architecturally correct).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
 from .isa import MicroOp, OpClass
@@ -23,7 +23,6 @@ class ROBEntry:
     dst_tag: Optional[int]
     freed_tag: Optional[int]
     done: bool = False
-    issued: bool = False
 
 
 class ActiveList:
@@ -37,7 +36,6 @@ class ActiveList:
         self._head = 0
         self._tail = 0
         self._count = 0
-        self.retired = 0
 
     def __len__(self) -> int:
         return self._count
@@ -95,7 +93,6 @@ class ActiveList:
             self._entries[self._head] = None
             self._head = (self._head + 1) % self.capacity
             self._count -= 1
-        self.retired += len(retired)
         return retired
 
     # ------------------------------------------------------------------
@@ -103,15 +100,13 @@ class ActiveList:
     # ------------------------------------------------------------------
     def snapshot_state(self) -> Dict[str, Any]:
         return {"entries": self._entries, "head": self._head,
-                "tail": self._tail, "count": self._count,
-                "retired": self.retired}
+                "tail": self._tail, "count": self._count}
 
     def restore_state(self, state: Dict[str, Any]) -> None:
         self._entries = list(state["entries"])
         self._head = state["head"]
         self._tail = state["tail"]
         self._count = state["count"]
-        self.retired = state["retired"]
 
 
 class LoadStoreQueue:

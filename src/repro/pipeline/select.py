@@ -42,11 +42,10 @@ from .issue_queue import CompactingIssueQueue, QueueMode
 
 @dataclass
 class SelectCounters:
-    """Cumulative select-network activity."""
+    """Cumulative grants per select tree: the tree's unit executes each
+    granted op, so the kernel derives unit op counts from these."""
 
-    cycles: int = 0
     grants_per_tree: List[int] = field(default_factory=list)
-    requests_seen: int = 0
 
 
 class SelectTree:
@@ -132,8 +131,6 @@ class SelectNetwork:
         ready = queue.ready_physical_in_priority()
         if eligible is not None:
             ready = [p for p in ready if eligible(p)]
-        self.counters.cycles += 1
-        self.counters.requests_seen += len(ready)
 
         order = range(self.n_alus)
         if self.round_robin:

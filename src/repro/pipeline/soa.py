@@ -18,10 +18,9 @@ stays far below 2**63 for any feasible run length.
 
 Layout
 ------
-* :class:`UnitBank` — one array triple (ops, busy_cycles,
-  turnoff_events) per functional-unit bank (integer ALUs, FP adders,
-  FP multiplier); a unit owns slot ``i`` of its bank's arrays.
-* Issue-queue counters — one 15-element array per queue; the ``IQC_*``
+* :class:`UnitBank` — one ops array per functional-unit bank (integer
+  ALUs, FP adders, FP multiplier); a unit owns slot ``i`` of it.
+* Issue-queue counters — one 12-element array per queue; the ``IQC_*``
   constants below name the slots.  Per-half counters occupy two
   adjacent slots (index 0 = lower physical half).
 * Register-file counters — one reads array per bank, indexed by ALU
@@ -36,6 +35,11 @@ Layout
   the runs that executed identically) is one row operation.  A
   component built standalone (as in unit tests) allocates its own
   storage.
+
+Every slot is read by the power accountant, the activity toggler or
+the metrics payload; a count nothing reads is not kept
+(``tests/sim/test_counter_readers.py`` perturbs each slot and requires
+a reader to notice).
 """
 
 from __future__ import annotations
@@ -47,20 +51,17 @@ import numpy as np
 #: Issue-queue counter slots (see ``IssueQueueCounters`` for meaning).
 IQC_COMPACTION_MOVES_0 = 0
 IQC_COMPACTION_MOVES_1 = 1
-IQC_MUX_SELECTS_0 = 2
-IQC_MUX_SELECTS_1 = 3
-IQC_LONG_MOVES_0 = 4
-IQC_LONG_MOVES_1 = 5
-IQC_COUNTER_EVALS_0 = 6
-IQC_COUNTER_EVALS_1 = 7
-IQC_BROADCASTS = 8
-IQC_PAYLOAD_OPS = 9
-IQC_SELECT_GRANTS = 10
-IQC_INSERTS = 11
-IQC_CYCLES = 12
-IQC_TOGGLES = 13
-IQC_OCCUPANCY_SUM = 14
-IQC_NFIELDS = 15
+IQC_LONG_MOVES_0 = 2
+IQC_LONG_MOVES_1 = 3
+IQC_COUNTER_EVALS_0 = 4
+IQC_COUNTER_EVALS_1 = 5
+IQC_BROADCASTS = 6
+IQC_PAYLOAD_OPS = 7
+IQC_SELECT_GRANTS = 8
+IQC_INSERTS = 9
+IQC_CYCLES = 10
+IQC_OCCUPANCY_SUM = 11
+IQC_NFIELDS = 12
 
 
 def new_iq_counter_array() -> np.ndarray:
@@ -69,23 +70,22 @@ def new_iq_counter_array() -> np.ndarray:
 
 
 class UnitBank:
-    """SoA activity counters for one bank of functional units.
+    """SoA op counts for one bank of functional units.
 
-    Every unit of a bank (e.g. the six integer ALUs) shares these
-    arrays and owns one slot, so a macro-step can charge busy cycles to
-    the whole bank with one masked vector add.
+    Every unit of a bank (e.g. the six integer ALUs) shares the ops
+    array and owns one slot, so the kernel's flush charges the whole
+    bank's ops with one vector add.
     """
 
-    __slots__ = ("n_units", "ops", "busy_cycles", "turnoff_events")
+    __slots__ = ("n_units", "ops")
 
     def __init__(self, n_units: int,
                  storage: Optional[np.ndarray] = None) -> None:
-        """``storage`` is a ``(3, n_units)`` int64 view (rows: ops,
-        busy cycles, turnoff events); a bank given none allocates
-        its own."""
+        """``storage`` is an ``(n_units,)`` int64 view; a bank given
+        none allocates its own."""
         if n_units < 1:
             raise ValueError("a unit bank needs at least one slot")
         if storage is None:
-            storage = np.zeros((3, n_units), dtype=np.int64)
+            storage = np.zeros(n_units, dtype=np.int64)
         self.n_units = n_units
-        self.ops, self.busy_cycles, self.turnoff_events = storage
+        self.ops = storage

@@ -99,7 +99,9 @@ def run_group(configs: Sequence[SimulationConfig],
     that blob, which is the bit-identity-preserving follower
     construction the checkpoint subsystem already guarantees.  The
     leader's warm state is serialized once: here only when no store
-    is in use.
+    is in use.  A follower counts as a checkpoint restore only when
+    there is a store: without one its blob is the leader's in-memory
+    warm state, not a checkpoint.
     """
     leader, restored, captured, blob = _prepared_simulator(
         configs[0], checkpoint_root)
@@ -126,7 +128,8 @@ def run_group(configs: Sequence[SimulationConfig],
             sanitized=sim.sanitizer is not None,
             sanitizer_checks=(0 if sim.sanitizer is None
                               else sim.sanitizer.stats.total_checks),
-            checkpoint_restored=restored if i == 0 else True,
+            checkpoint_restored=(restored if i == 0
+                                 else checkpoint_root is not None),
             checkpoint_captured=captured if i == 0 else False))
     return outcomes
 

@@ -61,7 +61,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (runner
 #: Format version embedded in every checkpoint payload; bumped whenever
 #: the snapshot layout changes so stale entries are rejected, not
 #: misinterpreted.
-CHECKPOINT_VERSION = 3  # v3: register-file reads per ALU read port
+CHECKPOINT_VERSION = 4  # v4: only the counters something reads
 
 
 class CheckpointError(RuntimeError):

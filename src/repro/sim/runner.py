@@ -454,7 +454,7 @@ class Simulator:
 
     def _collect(self) -> SimulationResult:
         stats = self.processor.stats
-        dtm = self.dtm.stats
+        dtm = self.dtm
         mean_temps = {name: self.sensors.mean(name)
                       for name in self.floorplan.names}
         max_temps = {name: self.sensors.maximum(name)
@@ -468,14 +468,16 @@ class Simulator:
             cycles=stats.cycles,
             committed=stats.committed,
             stall_cycles=stats.stall_cycles,
-            global_stalls=dtm.global_stalls,
-            stall_reasons=dict(dtm.stall_reasons),
-            iq_toggles=((self.dtm.int_toggler.stats.toggles
-                         if self.dtm.int_toggler else 0)
-                        + (self.dtm.fp_toggler.stats.toggles
-                           if self.dtm.fp_toggler else 0)),
-            alu_turnoffs=dtm.alu_turnoffs + dtm.fp_adder_turnoffs,
-            rf_turnoffs=dtm.rf_turnoffs,
+            global_stalls=dtm.stats.global_stalls,
+            stall_reasons=dict(dtm.stats.stall_reasons),
+            iq_toggles=((dtm.int_toggler.stats.toggles
+                         + dtm.fp_toggler.stats.toggles)
+                        if dtm.int_toggler else 0),
+            alu_turnoffs=((dtm.alu_controller.stats.turnoff_events
+                           + dtm.fp_adder_controller.stats.turnoff_events)
+                          if dtm.alu_controller else 0),
+            rf_turnoffs=(dtm.rf_controller.stats.turnoff_events
+                         if dtm.rf_controller else 0),
             mean_temps=mean_temps,
             max_temps=max_temps,
             metrics=self._metrics(max_temps),

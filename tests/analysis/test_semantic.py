@@ -314,12 +314,10 @@ REP104_FILES = {
         "class Processor:\n"
         "    def step(self):\n"
         "        self.bank.ops[0] += 1\n"
-        "        self.bank.busy_cycles[0] += 1\n"
         "        c = self._c\n"
         "        c[IQC_CYCLES] += 1\n"),
     "pipeline/kernel.py": (
-        "def run_kernel(proc, ops_acc, ticks):\n"
-        "    proc.bank.ops += ops_acc\n"
+        "def run_kernel(proc, ticks):\n"
         "    c = proc._c\n"
         "    c[IQC_CYCLES] += ticks\n"),
 }
@@ -327,20 +325,19 @@ REP104_FILES = {
 
 class TestREP104KernelParity:
     def test_unlanded_counter_fires(self, tmp_path):
-        """busy_cycles is bumped by step() but never by the kernel."""
+        """ops is bumped by step() but never by the kernel."""
         write_tree(tmp_path, REP104_FILES)
         report = deep_findings(tmp_path, select=["REP104"])
         assert rule_ids(report) == ["REP104"]
         finding = report.findings[0]
-        assert "busy_cycles" in finding.message
-        assert finding.line == 4
+        assert "'ops'" in finding.message
+        assert finding.line == 3
 
     def test_landed_counters_clean(self, tmp_path):
         files = dict(REP104_FILES)
         files["pipeline/kernel.py"] = (
-            "def run_kernel(proc, ops_acc, busy_acc, ticks):\n"
+            "def run_kernel(proc, ops_acc, ticks):\n"
             "    proc.bank.ops += ops_acc\n"
-            "    proc.bank.busy_cycles += busy_acc\n"
             "    c = proc._c\n"
             "    c[IQC_CYCLES] += ticks\n")
         write_tree(tmp_path, files)
@@ -358,8 +355,8 @@ class TestREP104KernelParity:
         files = dict(REP104_FILES)
         files["pipeline/processor.py"] = files[
             "pipeline/processor.py"].replace(
-            "        self.bank.busy_cycles[0] += 1\n",
-            "        self.bank.busy_cycles[0] += 1"
+            "        self.bank.ops[0] += 1\n",
+            "        self.bank.ops[0] += 1"
             "  # repro: noqa[REP104]\n")
         write_tree(tmp_path, files)
         report = deep_findings(tmp_path, select=["REP104"])
@@ -371,20 +368,19 @@ class TestREP104KernelParity:
         fire with the batched-path message."""
         files = dict(REP104_FILES)
         files["pipeline/kernel.py"] = (
-            "def run_kernel(proc, ops_acc, busy_acc, ticks):\n"
+            "def run_kernel(proc, ops_acc, ticks):\n"
             "    proc.bank.ops += ops_acc\n"
-            "    proc.bank.busy_cycles += busy_acc\n"
             "    c = proc._c\n"
             "    c[IQC_CYCLES] += ticks\n"
-            "def run_batch(runs, ops_acc):\n"
+            "def run_batch(runs, ticks):\n"
             "    for run in runs:\n"
-            "        run.proc.bank.ops += ops_acc\n")
+            "        run.proc.now += ticks\n")
         write_tree(tmp_path, files)
         report = deep_findings(tmp_path, select=["REP104"])
         assert rule_ids(report) == ["REP104", "REP104"]
         messages = [f.message for f in report.findings]
         assert all("batched kernel path" in m for m in messages)
-        assert any("busy_cycles" in m for m in messages)
+        assert any("'ops'" in m for m in messages)
         assert any("IQC_CYCLES" in m for m in messages)
 
     def test_batch_path_via_helper_clean(self, tmp_path):
@@ -392,16 +388,15 @@ class TestREP104KernelParity:
         clean — parity is judged on the call graph, not one function."""
         files = dict(REP104_FILES)
         files["pipeline/kernel.py"] = (
-            "def _land(proc, ops_acc, busy_acc, ticks):\n"
+            "def _land(proc, ops_acc, ticks):\n"
             "    proc.bank.ops += ops_acc\n"
-            "    proc.bank.busy_cycles += busy_acc\n"
             "    c = proc._c\n"
             "    c[IQC_CYCLES] += ticks\n"
-            "def run_kernel(proc, ops_acc, busy_acc, ticks):\n"
-            "    _land(proc, ops_acc, busy_acc, ticks)\n"
-            "def run_batch(runs, ops_acc, busy_acc, ticks):\n"
+            "def run_kernel(proc, ops_acc, ticks):\n"
+            "    _land(proc, ops_acc, ticks)\n"
+            "def run_batch(runs, ops_acc, ticks):\n"
             "    for run in runs:\n"
-            "        _land(run.proc, ops_acc, busy_acc, ticks)\n")
+            "        _land(run.proc, ops_acc, ticks)\n")
         write_tree(tmp_path, files)
         report = deep_findings(tmp_path, select=["REP104"])
         assert rule_ids(report) == []
@@ -411,18 +406,17 @@ class TestREP104KernelParity:
         never writes the run's own counter row back is flagged."""
         files = dict(REP104_FILES)
         files["pipeline/kernel.py"] = (
-            "def _land(proc, ops_acc, busy_acc, ticks):\n"
+            "def _land(proc, ops_acc, ticks):\n"
             "    proc.bank.ops += ops_acc\n"
-            "    proc.bank.busy_cycles += busy_acc\n"
             "    c = proc._c\n"
             "    c[IQC_CYCLES] += ticks\n"
-            "def run_kernel(proc, ops_acc, busy_acc, ticks):\n"
-            "    _land(proc, ops_acc, busy_acc, ticks)\n"
+            "def run_kernel(proc, ops_acc, ticks):\n"
+            "    _land(proc, ops_acc, ticks)\n"
             "def _adopt(proc, blob):\n"
             "    proc.restore_state(pickle.loads(blob))\n"
-            "def run_batch(runs, ops_acc, busy_acc, ticks):\n"
+            "def run_batch(runs, ops_acc, ticks):\n"
             "    for run in runs:\n"
-            "        _land(run.proc, ops_acc, busy_acc, ticks)\n"
+            "        _land(run.proc, ops_acc, ticks)\n"
             "        _adopt(run.proc, run.blob)\n")
         write_tree(tmp_path, files)
         report = deep_findings(tmp_path, select=["REP104"])
@@ -436,20 +430,19 @@ class TestREP104KernelParity:
         the legal fork/finalize write-back shape."""
         files = dict(REP104_FILES)
         files["pipeline/kernel.py"] = (
-            "def _land(proc, ops_acc, busy_acc, ticks):\n"
+            "def _land(proc, ops_acc, ticks):\n"
             "    proc.bank.ops += ops_acc\n"
-            "    proc.bank.busy_cycles += busy_acc\n"
             "    c = proc._c\n"
             "    c[IQC_CYCLES] += ticks\n"
-            "def run_kernel(proc, ops_acc, busy_acc, ticks):\n"
-            "    _land(proc, ops_acc, busy_acc, ticks)\n"
+            "def run_kernel(proc, ops_acc, ticks):\n"
+            "    _land(proc, ops_acc, ticks)\n"
             "def _adopt(proc, blob):\n"
             "    own_row = proc.counter_row.copy()\n"
             "    proc.restore_state(pickle.loads(blob))\n"
             "    proc.counter_row[:] = own_row\n"
-            "def run_batch(runs, ops_acc, busy_acc, ticks):\n"
+            "def run_batch(runs, ops_acc, ticks):\n"
             "    for run in runs:\n"
-            "        _land(run.proc, ops_acc, busy_acc, ticks)\n"
+            "        _land(run.proc, ops_acc, ticks)\n"
             "        _adopt(run.proc, run.blob)\n")
         write_tree(tmp_path, files)
         report = deep_findings(tmp_path, select=["REP104"])
@@ -460,9 +453,8 @@ class TestREP104KernelParity:
         kernel parity (mirrors the missing-kernel-file behaviour)."""
         files = dict(REP104_FILES)
         files["pipeline/kernel.py"] = (
-            "def run_kernel(proc, ops_acc, busy_acc, ticks):\n"
+            "def run_kernel(proc, ops_acc, ticks):\n"
             "    proc.bank.ops += ops_acc\n"
-            "    proc.bank.busy_cycles += busy_acc\n"
             "    c = proc._c\n"
             "    c[IQC_CYCLES] += ticks\n")
         write_tree(tmp_path, files)

@@ -82,14 +82,6 @@ class TestTiming:
 
 
 class TestBusyFlag:
-    def test_set_busy_tallies_turnoff_events(self):
-        unit = alu()
-        unit.set_busy(True)
-        unit.set_busy(True)  # idempotent: still one event
-        unit.set_busy(False)
-        unit.set_busy(True)
-        assert unit.counters.turnoff_events == 2
-
     def test_busy_does_not_block_drain(self):
         unit = alu()
         unit.start(MicroOp(0, OpClass.INT_ALU, dst=1), 0, now=1)

@@ -233,6 +233,16 @@ class TestBatchIdentity:
         per_run, _ = run_grid(monkeypatch, configs, batch="0")
         assert_all_identical(warm, per_run)
 
+    def test_storeless_group_counts_no_checkpoints(self, monkeypatch):
+        """Without a store the followers restore the leader's
+        in-memory warm state, which is no checkpoint: the engine
+        counts no captures and no restores."""
+        configs = fig8_grid()
+        _, stats = run_grid(monkeypatch, configs)
+        assert (stats.batch_groups, stats.batched_runs) == (1, 4)
+        assert (stats.checkpoint_captures,
+                stats.checkpoint_restores) == (0, 0)
+
     def test_leader_warm_state_pickled_once(self, monkeypatch, tmp_path):
         """A group's followers restore the blob the leader's store
         entry holds: its warm state is serialized once with a cold
@@ -450,16 +460,14 @@ class TestCounterRow:
     ``counter_row``, which the batched kernel moves as a whole."""
 
     def views(self, proc):
-        banks = (proc._int_bank, proc._fp_add_bank, proc._fp_mul_bank)
-        return ([array for bank in banks for array in
-                 (bank.ops, bank.busy_cycles, bank.turnoff_events)]
-                + [proc.int_iq._c, proc.fp_iq._c,
-                   proc.regfile._port_reads, proc.regfile._writes])
+        return [proc._int_bank.ops, proc._fp_add_bank.ops,
+                proc._fp_mul_bank.ops, proc.int_iq._c, proc.fp_iq._c,
+                proc.regfile._port_reads, proc.regfile._writes]
 
     def test_counter_arrays_view_the_row(self):
         proc = Simulator(config("gzip")).processor
         views = self.views(proc)
-        assert len(views) == 13
+        assert len(views) == 7
         for view in views:
             assert view.base is proc.counter_row
         assert sum(view.size for view in views) == proc.counter_row.size
@@ -467,7 +475,7 @@ class TestCounterRow:
     def test_view_writes_land_in_the_row(self):
         proc = Simulator(config("gzip")).processor
         proc.int_alus[2].counters.ops = 5
-        proc.fp_mul.counters.turnoff_events = 2
+        proc.fp_mul.counters.ops = 2
         proc.int_iq.counters.counter_evals[0] += 3
         proc.fp_iq.counters.compaction_moves[1] = 7
         row = proc.counter_row

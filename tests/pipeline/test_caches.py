@@ -97,4 +97,4 @@ class TestMemoryHierarchy:
         mem = MemoryHierarchy(ProcessorConfig())
         mem.store(128)
         assert mem.l1d.probe(128)
-        assert mem.stores == 1
+        assert mem.l1d.stats.accesses == 1

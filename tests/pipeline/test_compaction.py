@@ -19,12 +19,11 @@ from repro.pipeline.issue_queue import CompactingIssueQueue
 from repro.pipeline.kernel import _compact_queue, _low_before
 from repro.pipeline.soa import (IQC_COMPACTION_MOVES_0, IQC_COUNTER_EVALS_0,
                                 IQC_CYCLES, IQC_LONG_MOVES_0,
-                                IQC_MUX_SELECTS_0, IQC_OCCUPANCY_SUM)
+                                IQC_OCCUPANCY_SUM)
 
 #: Where each ``acc`` slot of ``_compact_queue`` lands (kernel flush).
 ACC_SLOTS = (IQC_COUNTER_EVALS_0, IQC_COUNTER_EVALS_0 + 1,
              IQC_COMPACTION_MOVES_0, IQC_COMPACTION_MOVES_0 + 1,
-             IQC_MUX_SELECTS_0, IQC_MUX_SELECTS_0 + 1,
              IQC_LONG_MOVES_0, IQC_LONG_MOVES_0 + 1)
 
 
@@ -50,7 +49,7 @@ def kernel_tick(queue, stats):
         return
     before = queue.fallbacks
     pending = len(queue._pending_removal)
-    acc = [0] * 8
+    acc = [0] * len(ACC_SLOTS)
     _compact_queue(queue, queue._now, acc, _low_before(queue))
     for slot, value in zip(ACC_SLOTS, acc):
         c[slot] += value

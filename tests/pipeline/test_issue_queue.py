@@ -248,7 +248,6 @@ class TestToggling:
         q.toggle()
         q.toggle()
         assert q.mode is QueueMode.NORMAL
-        assert q.counters.toggles == 2
 
     def test_occupancy_by_half(self):
         q = make_queue(8)

@@ -236,7 +236,8 @@ class TestInternalState:
             self, monkeypatch):
         """A 40-cycle FP multiply keeps FP entries waiting in their
         queue through quiescent stretches, so the fast-forward also
-        advances the FP select counters and round-robin offset."""
+        advances the FP queue's occupancy count and round-robin
+        offset."""
         monkeypatch.setitem(DEFAULT_LATENCY, OpClass.FP_MUL, 40)
         profile = WorkloadProfile(
             "fp-chain", {OpClass.FP_MUL: 0.6, OpClass.FP_ADD: 0.3,
@@ -274,9 +275,8 @@ def final_state(proc):
     arrays = [proc.int_iq._c, proc.fp_iq._c, proc.regfile._port_reads,
               proc.regfile._writes]
     for bank in (proc._int_bank, proc._fp_add_bank, proc._fp_mul_bank):
-        arrays += [bank.ops, bank.busy_cycles, bank.turnoff_events]
-    select = [(s.counters.cycles, list(s.counters.grants_per_tree),
-               s.counters.requests_seen, s._rr_offset)
+        arrays.append(bank.ops)
+    select = [(list(s.counters.grants_per_tree), s._rr_offset)
               for s in (proc.int_select, proc.fp_add_select,
                         proc.fp_mul_select)]
     return (state_digest(proc), [a.tolist() for a in arrays], select,

@@ -21,10 +21,9 @@ from repro.pipeline.soa import (IQC_BROADCASTS, IQC_COMPACTION_MOVES_0,
 class TestUnitBank:
     def test_arrays_are_preallocated_int64(self):
         bank = UnitBank(6)
-        for arr in (bank.ops, bank.busy_cycles, bank.turnoff_events):
-            assert arr.dtype == np.int64
-            assert arr.shape == (6,)
-            assert not arr.any()
+        assert bank.ops.dtype == np.int64
+        assert bank.ops.shape == (6,)
+        assert not bank.ops.any()
 
     def test_rejects_empty_bank(self):
         with pytest.raises(ValueError):
@@ -45,17 +44,15 @@ class TestUnitCounterViews:
         alus = make_int_alus(6)
         assert len({id(u._bank) for u in alus}) == 1
         alus[2].counters.ops = 5
-        alus[4].counters.busy_cycles = 9
-        assert alus[2]._bank.ops.tolist() == [0, 0, 5, 0, 0, 0]
-        assert [u.counters.ops for u in alus] == [0, 0, 5, 0, 0, 0]
-        assert [u.counters.busy_cycles for u in alus] == [0, 0, 0, 0, 9, 0]
+        alus[4].counters.ops += 9
+        assert alus[2]._bank.ops.tolist() == [0, 0, 5, 0, 9, 0]
+        assert [u.counters.ops for u in alus] == [0, 0, 5, 0, 9, 0]
 
     def test_view_reads_are_plain_ints(self):
         adder = make_fp_adders(4)[1]
         adder.counters.ops += 2
         assert type(adder.counters.ops) is int
-        assert adder.counters.values() == {
-            "ops": 2, "busy_cycles": 0, "turnoff_events": 0}
+        assert adder.counters.values() == {"ops": 2}
 
     def test_banks_are_per_make_call(self):
         a, b = make_int_alus(6), make_int_alus(6)

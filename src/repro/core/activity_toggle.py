@@ -46,7 +46,6 @@ class ToggleStats:
     """Observable behaviour of one toggling controller."""
 
     toggles: int = 0
-    emergency_toggles: int = 0
     samples: int = 0
     max_imbalance_k: float = 0.0
 
@@ -56,7 +55,6 @@ class ActivityToggler:
 
     def __init__(self, queue: CompactingIssueQueue,
                  threshold_k: float = 0.5,
-                 ceiling_k: float = 358.0,
                  refractory_samples: int = 2,
                  tracer: Optional["QueueTracer"] = None) -> None:
         if threshold_k <= 0:
@@ -65,7 +63,6 @@ class ActivityToggler:
             raise ValueError("refractory period must be non-negative")
         self.queue = queue
         self.threshold_k = threshold_k
-        self.ceiling_k = ceiling_k
         self.refractory_samples = refractory_samples
         #: Optional :class:`~repro.obs.collector.QueueTracer`; when
         #: set, every toggle emits a cycle-stamped ``ToggleEvent``.
@@ -98,16 +95,12 @@ class ActivityToggler:
         self._occ_history = deque(state["occ_history"], maxlen=4)
         self._last_longs = state["last_longs"]
 
-    def _toggle(self, half_temps: Tuple[float, float],
-                emergency: bool = False) -> bool:
+    def _toggle(self, half_temps: Tuple[float, float]) -> bool:
         self.queue.toggle()
         self.stats.toggles += 1
-        if emergency:
-            self.stats.emergency_toggles += 1
         self._cooldown = self.refractory_samples
         if self.tracer is not None:
-            self.tracer.toggled(self.queue.mode.name.lower(),
-                                half_temps, emergency)
+            self.tracer.toggled(self.queue.mode.name.lower(), half_temps)
         return True
 
     def observe(self, half_temps: Tuple[float, float]) -> bool:

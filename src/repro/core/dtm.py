@@ -37,7 +37,6 @@ from .policies import ALUPolicy, IssueQueuePolicy, TechniqueConfig
 class DTMStats:
     """Controller-level behaviour over a run."""
 
-    samples: int = 0
     global_stalls: int = 0
     stall_reasons: Dict[str, int] = field(default_factory=dict)
 
@@ -78,12 +77,10 @@ class ThermalManager:
         if techniques.issue_queue is IssueQueuePolicy.ACTIVITY_TOGGLING:
             self.int_toggler = ActivityToggler(
                 processor.int_iq, thermal_config.toggle_threshold_k,
-                ceiling_k=tmax,
                 tracer=(QueueTracer(collector, "IntQ", clock)
                         if collector is not None else None))
             self.fp_toggler = ActivityToggler(
                 processor.fp_iq, thermal_config.toggle_threshold_k,
-                ceiling_k=tmax,
                 tracer=(QueueTracer(collector, "FPQ", clock)
                         if collector is not None else None))
 
@@ -161,7 +158,6 @@ class ThermalManager:
         """Run one DTM decision round (called every sensing interval)."""
         if processor is not self.processor:
             raise ValueError("manager is bound to a different processor")
-        self.stats.samples += 1
         tmax = self.config.max_temperature_k
         temps = self.sensors.read_all()
         already_stalled = processor.is_stalled

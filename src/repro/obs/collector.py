@@ -154,11 +154,10 @@ class QueueTracer:
         self.queue = queue
         self.clock = clock
 
-    def toggled(self, mode: str, half_temps_k: Tuple[float, float],
-                emergency: bool = False) -> None:
+    def toggled(self, mode: str, half_temps_k: Tuple[float, float]) -> None:
         self.collector.emit(ToggleEvent(
             cycle=self.clock(), queue=self.queue, mode=mode,
-            half_temps_k=half_temps_k, emergency=emergency))
+            half_temps_k=half_temps_k))
 
 
 class UnitTracer:

@@ -64,7 +64,6 @@ class ToggleEvent(TraceEvent):
     mode: str = ""
     #: (lower half, upper half) sensed temperatures at the decision.
     half_temps_k: Tuple[float, float] = (0.0, 0.0)
-    emergency: bool = False
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,8 @@
 """Report generation: paper-figure grids rendered as Markdown/HTML.
 
 ``repro report`` runs (or answers from the result cache) the Figure
-6–8 experiment grids and renders one document per invocation: a table
+6–8 experiment grids as one engine submission, so a benchmark's runs
+batch across figures, and renders one document per invocation: a table
 per figure, the paper's summary statistics, metric summaries drawn
 from each run's plain :attr:`~repro.sim.results.SimulationResult.
 metrics` dict, one-line thermal sparklines from the downsampled
@@ -25,11 +26,10 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..sim.experiments import (ALUExperiment, IssueQueueExperiment,
                                RF_CONFIGS, RegFileExperiment,
-                               alu_experiment, format_speedup,
-                               issue_queue_experiment, left_out_note,
-                               regfile_experiment, zero_ipc)
+                               format_speedup, left_out_note, zero_ipc)
 from ..sim.parallel import ExperimentEngine
 from ..sim.results import SimulationResult
+from ..workloads.spec2000 import BENCHMARK_NAMES
 from .sparkline import sparkline
 
 __all__ = ["Report", "generate", "FIGURES"]
@@ -305,13 +305,13 @@ def _figure8(report: Report, experiment: RegFileExperiment,
     return results
 
 
-#: figure number -> (experiment runner, section renderer); a renderer
-#: returns the runs its section covers.
-FIGURES: Dict[str, Tuple[Callable[..., Any],
-                         Callable[..., List[SimulationResult]]]] = {
-    "6": (issue_queue_experiment, _figure6),
-    "7": (alu_experiment, _figure7),
-    "8": (regfile_experiment, _figure8),
+#: figure number -> (experiment class, section renderer); the class
+#: builds the figure's configs and assembles its results, and the
+#: renderer returns the runs its section covers.
+FIGURES: Dict[str, Tuple[Any, Callable[..., List[SimulationResult]]]] = {
+    "6": (IssueQueueExperiment, _figure6),
+    "7": (ALUExperiment, _figure7),
+    "8": (RegFileExperiment, _figure8),
 }
 
 
@@ -323,9 +323,11 @@ def generate(figures: Sequence[str] = ("6", "7", "8"),
              title: str = "Reproduction report") -> Report:
     """Run (or load from cache) the requested figure grids and render.
 
-    Every run goes through ``engine`` (a fresh default
-    :class:`~repro.sim.parallel.ExperimentEngine` when None), so a
-    warm result cache answers the whole report without simulating.
+    Every figure's configs go to ``engine`` (a fresh default
+    :class:`~repro.sim.parallel.ExperimentEngine` when None) in one
+    ``run_many`` call, in the order the figures are requested, so
+    batch groups span figures and a warm result cache answers the
+    whole report without simulating.
     """
     if engine is None:
         engine = ExperimentEngine()
@@ -333,15 +335,18 @@ def generate(figures: Sequence[str] = ("6", "7", "8"),
     if unknown:
         raise ValueError(f"unknown figures {unknown!r}; "
                          f"choose from {sorted(FIGURES)}")
+    names = list(BENCHMARK_NAMES if benchmarks is None else benchmarks)
+    studies = [FIGURES[figure] for figure in figures]
+    grids = [experiment.configs(names, max_cycles, seed)
+             for experiment, _ in studies]
+    results = iter(engine.run_many([config for grid in grids
+                                    for config in grid]))
     report = Report(title)
-    kwargs: Dict[str, Any] = {"max_cycles": max_cycles, "seed": seed,
-                              "engine": engine}
-    if benchmarks is not None:
-        kwargs["benchmarks"] = list(benchmarks)
     rendered: List[SimulationResult] = []
-    for figure in figures:
-        runner, section = FIGURES[figure]
-        rendered += section(report, runner(**kwargs), ceiling_k)
+    for (experiment, section), grid in zip(studies, grids):
+        grid_results = [next(results) for _ in grid]
+        rendered += section(
+            report, experiment.from_results(names, grid_results), ceiling_k)
     stats = engine.stats
     report.heading(2, "Run accounting")
     report.paragraph(

@@ -38,7 +38,7 @@ from __future__ import annotations
 import os
 import pickle
 from bisect import insort
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from .alu import _NEVER, _InFlight
 from .isa import DEFAULT_LATENCY, NUM_INT_ARCH_REGS, OpClass
@@ -1029,7 +1029,8 @@ def _compact_queue(queue: "CompactingIssueQueue", now: int,
 # boundary, and the moment a follower's post-DTM gating tuple differs
 # from its leader's, the follower forks — the leader's pipeline state
 # is restored into it, its own counter row and gating decisions are
-# overlaid, and it continues as a class of its own.
+# overlaid, and it continues as the leader of a new class, which the
+# other followers whose tuple diverged to the same value follow.
 
 
 def batch_enabled() -> bool:
@@ -1052,8 +1053,9 @@ class BatchStats:
     __slots__ = ("fork_count", "class_occupancy")
 
     def __init__(self) -> None:
-        #: Followers that diverged from their leader and became
-        #: execution classes of their own.
+        #: Execution classes that forks created: followers whose
+        #: gating diverged alike from their leader's at one boundary
+        #: fork into one class, which counts once.
         self.fork_count = 0
         #: ``{live execution classes -> boundaries observed at that
         #: occupancy}`` — the divergence trajectory of the grid.
@@ -1175,13 +1177,19 @@ def run_batch(runs: List[BatchRun],
             if cls.followers:
                 gate = proc.capture_gating()
                 kept: List[BatchRun] = []
+                diverged: Dict[Tuple[Any, ...], List[BatchRun]] = {}
                 for follower in cls.followers:
-                    if follower.proc.capture_gating() == gate:
+                    own = follower.proc.capture_gating()
+                    if own == gate:
                         kept.append(follower)
-                        continue
-                    # Diverged: fork into a class of its own.
-                    _adopt_leader_state(follower, proc)
-                    forked.append(_ExecClass(follower, [], cls.remaining))
+                    else:
+                        diverged.setdefault(own, []).append(follower)
+                # Followers that diverged alike fork into one class: the
+                # first adopts the leader's state and leads it, the
+                # rest follow it.
+                for first, *rest in diverged.values():
+                    _adopt_leader_state(first, proc)
+                    forked.append(_ExecClass(first, rest, cls.remaining))
                     stats.fork_count += 1
                 cls.followers = kept
                 if kept:

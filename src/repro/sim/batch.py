@@ -1,17 +1,19 @@
 """Batched grid execution: one kernel invocation per warm-state group.
 
-A figure grid is many technique variants of the same benchmark.  After
-PR 3's warm-state checkpoints those variants already share one warm-up;
-this module makes them share *measurement* too.  Pending runs are
-grouped by a batch key — the warm-checkpoint key (benchmark, seed,
-warm-relevant processor/energy/technique fields) plus everything that
-must agree for lock-step execution (cycle budget, thermal
-configuration) — and each group executes as a single
+A figure grid is many technique variants of the same benchmark.  With
+warm-state checkpoints (:mod:`repro.sim.checkpoint`) those variants
+already share one warm-up; this module makes them share *measurement*
+too.  Pending runs are grouped by a batch key — the warm-checkpoint
+key (benchmark, seed, warm-relevant processor/energy/technique fields)
+plus everything that must agree for lock-step execution (cycle
+budget, thermal configuration), but not the floorplan, so a
+submission of several figures groups a benchmark's runs across them —
+and each group executes as a single
 :func:`repro.pipeline.kernel.run_batch` invocation: runs that execute
 identically share one macro-stepped execution (each follower's
 ``Processor.counter_row`` receives its leader's activity delta as one
 row add), and power/thermal sampling crosses the run axis in one
-batched call per boundary.
+batched call pair per floorplan per boundary.
 
 Every pending run joins the group of its key; a run whose key no
 other pending run shares runs on the per-run kernel, and
@@ -56,18 +58,19 @@ def batch_key(config: SimulationConfig) -> str:
 
     The warm-checkpoint key guarantees identical post-warm-up state
     (same benchmark, seed, processor, energy, warm-relevant technique
-    fields); the cycle budget, the floorplan and the full thermal
-    configuration are appended because lock-step execution needs one
-    boundary schedule, and batched sampling stacks per-run power
-    vectors, which only runs of one floorplan can share.  The effective
-    sanitize state is appended so a sanitized run never follows an
-    unsanitized leader: a follower's queue check reads only the state
-    it restored, and the shared execution is checked by its leader.
+    fields); the cycle budget and the full thermal configuration are
+    appended because lock-step execution needs one boundary schedule.
+    The floorplan is not: it decides only where a run's sampled power
+    lands, and :func:`_sample_boundary` samples each floorplan's runs
+    in a call pair of their own, so one benchmark's Figure 6, 7 and 8
+    runs share a group.  The effective sanitize state is appended so a
+    sanitized run never follows an unsanitized leader: a follower's
+    queue check reads only the state it restored, and the shared
+    execution is checked by its leader.
     """
     payload = {
         "warm": checkpoint_key(config),
         "max_cycles": config.max_cycles,
-        "floorplan": config.variant.value,
         "thermal": _stable(config.thermal),
         "sanitize": bool(config.sanitize or sanitize_enabled()),
     }
@@ -152,18 +155,24 @@ def _sample_boundary(sims: Sequence[Simulator],
     a thermal step, then the run's own DTM — but crosses the class
     with one :meth:`~repro.power.accounting.PowerAccountant.
     sample_powers_batch` / :meth:`~repro.thermal.rc_model.ThermalModel.
-    step_vector_batch` call pair.  Every run keeps its own accountant,
-    thermal model, and DTM, so per-run state (and therefore results)
-    is untouched by the batching.
+    step_vector_batch` call pair per floorplan (a power row is as long
+    as its floorplan's block count), then runs each run's DTM.  Every
+    run keeps its own accountant, thermal model, and DTM, so per-run
+    state (and therefore results) is untouched by the batching.
     """
-    members = [sims[run.index] for run in class_runs]
-    first = members[0]
-    snapshots = [run.proc.activity_snapshot() for run in class_runs]
-    powers = first.accountant.sample_powers_batch(
-        [member.accountant for member in members[1:]],
-        snapshots, first._interval_s)
-    first.thermal.step_vector_batch(
-        [member.thermal for member in members[1:]],
-        powers, first._interval_s)
-    for member, run in zip(members, class_runs):
-        member.dtm.on_sample(run.proc)
+    by_floorplan: Dict[str, List[BatchRun]] = {}
+    for run in class_runs:
+        variant = sims[run.index].config.variant.value
+        by_floorplan.setdefault(variant, []).append(run)
+    for runs in by_floorplan.values():
+        members = [sims[run.index] for run in runs]
+        first = members[0]
+        snapshots = [run.proc.activity_snapshot() for run in runs]
+        powers = first.accountant.sample_powers_batch(
+            [member.accountant for member in members[1:]],
+            snapshots, first._interval_s)
+        first.thermal.step_vector_batch(
+            [member.thermal for member in members[1:]],
+            powers, first._interval_s)
+    for run in class_runs:
+        sims[run.index].dtm.on_sample(run.proc)

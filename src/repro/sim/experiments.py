@@ -2,12 +2,18 @@
 
 Each experiment function runs the relevant benchmark x technique grid
 and returns a typed result object with the same rows/series the paper
-reports, plus a ``format()`` method producing the text table the bench
-harness prints.  See DESIGN.md §4 for the experiment index.
+reports, plus a ``format()`` method producing the text table that
+``repro figure`` prints.  See DESIGN.md §4 for the experiment index.
+
+Each function is the composition of two halves on its result class:
+``configs(benchmarks, max_cycles, seed)`` builds the grid's configs in
+submission order, and ``from_results(benchmarks, results)`` assembles
+the typed result from their results in that order.  ``repro report``
+uses the halves to submit every figure's grid to the engine at once.
 
 All experiments accept ``benchmarks`` and ``max_cycles`` so the test
-suite can run miniature versions of the same code paths the full bench
-harness exercises.
+suite can run miniature versions of the same code paths ``repro
+report`` runs at full scale.
 """
 
 from __future__ import annotations
@@ -96,6 +102,34 @@ class IssueQueueExperiment:
     toggling: Dict[str, SimulationResult]
     base: Dict[str, SimulationResult]
 
+    @staticmethod
+    def configs(benchmarks: Sequence[str], max_cycles: int,
+                seed: int) -> List[SimulationConfig]:
+        """Toggling then base per benchmark, on the IQ-constrained
+        chip."""
+        return [_config(bench, FloorplanVariant.ISSUE_QUEUE,
+                        TechniqueConfig(issue_queue=policy), label,
+                        max_cycles, seed)
+                for bench in benchmarks
+                for label, policy in (
+                    ("activity-toggling",
+                     IssueQueuePolicy.ACTIVITY_TOGGLING),
+                    ("base", IssueQueuePolicy.BASE))]
+
+    @classmethod
+    def from_results(cls, benchmarks: Sequence[str],
+                     results: Sequence[SimulationResult]
+                     ) -> "IssueQueueExperiment":
+        """The experiment from the results of :meth:`configs`, in its
+        order."""
+        run_results = iter(results)
+        toggling: Dict[str, SimulationResult] = {}
+        base: Dict[str, SimulationResult] = {}
+        for bench in benchmarks:
+            toggling[bench] = next(run_results)
+            base[bench] = next(run_results)
+        return cls(toggling=toggling, base=base)
+
     @property
     def benchmarks(self) -> List[str]:
         return list(self.base)
@@ -156,23 +190,9 @@ def issue_queue_experiment(
         max_cycles: int = 120_000, seed: int = 1,
         engine: Optional[ExperimentEngine] = None) -> IssueQueueExperiment:
     """Run Figure 6 / Table 4: toggling vs base, IQ-constrained chip."""
-    configs = []
-    for bench in benchmarks:
-        configs.append(_config(
-            bench, FloorplanVariant.ISSUE_QUEUE,
-            TechniqueConfig(issue_queue=IssueQueuePolicy.ACTIVITY_TOGGLING),
-            "activity-toggling", max_cycles, seed))
-        configs.append(_config(
-            bench, FloorplanVariant.ISSUE_QUEUE,
-            TechniqueConfig(issue_queue=IssueQueuePolicy.BASE),
-            "base", max_cycles, seed))
-    run_results = iter(run_experiments(configs, engine))
-    toggling: Dict[str, SimulationResult] = {}
-    base: Dict[str, SimulationResult] = {}
-    for bench in benchmarks:
-        toggling[bench] = next(run_results)
-        base[bench] = next(run_results)
-    return IssueQueueExperiment(toggling=toggling, base=base)
+    configs = IssueQueueExperiment.configs(benchmarks, max_cycles, seed)
+    return IssueQueueExperiment.from_results(
+        benchmarks, run_experiments(configs, engine))
 
 
 # ---------------------------------------------------------------------------
@@ -186,6 +206,36 @@ class ALUExperiment:
     round_robin: Dict[str, SimulationResult]
     fine_grain: Dict[str, SimulationResult]
     base: Dict[str, SimulationResult]
+
+    @staticmethod
+    def configs(benchmarks: Sequence[str], max_cycles: int,
+                seed: int) -> List[SimulationConfig]:
+        """Round robin, fine-grain then base per benchmark, on the
+        ALU-constrained chip."""
+        return [_config(bench, FloorplanVariant.ALU,
+                        TechniqueConfig(alus=policy), label, max_cycles,
+                        seed)
+                for bench in benchmarks
+                for label, policy in (("round-robin", ALUPolicy.ROUND_ROBIN),
+                                      ("fine-grain", ALUPolicy.FINE_GRAIN),
+                                      ("base", ALUPolicy.BASE))]
+
+    @classmethod
+    def from_results(cls, benchmarks: Sequence[str],
+                     results: Sequence[SimulationResult]
+                     ) -> "ALUExperiment":
+        """The experiment from the results of :meth:`configs`, in its
+        order."""
+        run_results = iter(results)
+        round_robin: Dict[str, SimulationResult] = {}
+        fine_grain: Dict[str, SimulationResult] = {}
+        base: Dict[str, SimulationResult] = {}
+        for bench in benchmarks:
+            round_robin[bench] = next(run_results)
+            fine_grain[bench] = next(run_results)
+            base[bench] = next(run_results)
+        return cls(round_robin=round_robin, fine_grain=fine_grain,
+                   base=base)
 
     @property
     def benchmarks(self) -> List[str]:
@@ -258,23 +308,9 @@ def alu_experiment(benchmarks: Sequence[str] = tuple(BENCHMARK_NAMES),
                    engine: Optional[ExperimentEngine] = None
                    ) -> ALUExperiment:
     """Run Figure 7 / Table 5 on the ALU-constrained chip."""
-    policies = (("round-robin", ALUPolicy.ROUND_ROBIN),
-                ("fine-grain", ALUPolicy.FINE_GRAIN),
-                ("base", ALUPolicy.BASE))
-    configs = [
-        _config(bench, FloorplanVariant.ALU, TechniqueConfig(alus=policy),
-                label, max_cycles, seed)
-        for bench in benchmarks for label, policy in policies]
-    run_results = iter(run_experiments(configs, engine))
-    round_robin: Dict[str, SimulationResult] = {}
-    fine_grain: Dict[str, SimulationResult] = {}
-    base: Dict[str, SimulationResult] = {}
-    for bench in benchmarks:
-        round_robin[bench] = next(run_results)
-        fine_grain[bench] = next(run_results)
-        base[bench] = next(run_results)
-    return ALUExperiment(round_robin=round_robin,
-                         fine_grain=fine_grain, base=base)
+    configs = ALUExperiment.configs(benchmarks, max_cycles, seed)
+    return ALUExperiment.from_results(
+        benchmarks, run_experiments(configs, engine))
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +337,31 @@ class RegFileExperiment:
 
     #: results[config_label][benchmark]
     results: Dict[str, Dict[str, SimulationResult]]
+
+    @staticmethod
+    def configs(benchmarks: Sequence[str], max_cycles: int,
+                seed: int) -> List[SimulationConfig]:
+        """The :data:`RF_CONFIGS` per benchmark, on the
+        register-file-constrained chip."""
+        return [_config(bench, FloorplanVariant.REGFILE,
+                        TechniqueConfig(regfile=policy), label, max_cycles,
+                        seed)
+                for bench in benchmarks
+                for label, policy in RF_CONFIGS.items()]
+
+    @classmethod
+    def from_results(cls, benchmarks: Sequence[str],
+                     results: Sequence[SimulationResult]
+                     ) -> "RegFileExperiment":
+        """The experiment from the results of :meth:`configs`, in its
+        order."""
+        run_results = iter(results)
+        by_label: Dict[str, Dict[str, SimulationResult]] = {
+            label: {} for label in RF_CONFIGS}
+        for bench in benchmarks:
+            for label in RF_CONFIGS:
+                by_label[label][bench] = next(run_results)
+        return cls(results=by_label)
 
     @property
     def benchmarks(self) -> List[str]:
@@ -377,14 +438,6 @@ def regfile_experiment(benchmarks: Sequence[str] = tuple(BENCHMARK_NAMES),
                        engine: Optional[ExperimentEngine] = None
                        ) -> RegFileExperiment:
     """Run Figure 8 / Table 6 on the register-file-constrained chip."""
-    configs = [
-        _config(bench, FloorplanVariant.REGFILE,
-                TechniqueConfig(regfile=policy), label, max_cycles, seed)
-        for bench in benchmarks for label, policy in RF_CONFIGS.items()]
-    run_results = iter(run_experiments(configs, engine))
-    results: Dict[str, Dict[str, SimulationResult]] = {
-        label: {} for label in RF_CONFIGS}
-    for bench in benchmarks:
-        for label in RF_CONFIGS:
-            results[label][bench] = next(run_results)
-    return RegFileExperiment(results=results)
+    configs = RegFileExperiment.configs(benchmarks, max_cycles, seed)
+    return RegFileExperiment.from_results(
+        benchmarks, run_experiments(configs, engine))

@@ -91,14 +91,13 @@ class TestTracerAdapters:
         collector = TraceCollector()
         clock = {"now": 1250}
         tracer = QueueTracer(collector, "FPQ", lambda: clock["now"])
-        tracer.toggled("toggled", (356.0, 357.5), emergency=True)
+        tracer.toggled("toggled", (356.0, 357.5))
         clock["now"] = 1500
         tracer.toggled("normal", (356.5, 356.0))
         first, second = collector.events()
         assert first == ToggleEvent(cycle=1250, queue="FPQ",
                                     mode="toggled",
-                                    half_temps_k=(356.0, 357.5),
-                                    emergency=True)
+                                    half_temps_k=(356.0, 357.5))
         assert second.cycle == 1500 and second.mode == "normal"
 
     def test_unit_tracer_maps_copy_to_block(self):

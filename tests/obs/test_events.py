@@ -8,7 +8,7 @@ from repro.obs.events import (EVENT_TYPES, CheckpointRestore, CoreResume,
 
 ALL_EVENTS = [
     ToggleEvent(cycle=250, queue="IntQ", mode="toggled",
-                half_temps_k=(356.5, 357.25), emergency=True),
+                half_temps_k=(356.5, 357.25)),
     UnitTurnoff(cycle=500, block="IntExec5", copy=5, temperature_k=358.2),
     UnitTurnon(cycle=750, block="IntExec5", copy=5, temperature_k=355.9),
     UnitTurnon(cycle=750, block="IntExec5", copy=5, temperature_k=None),

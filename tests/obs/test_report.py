@@ -2,8 +2,13 @@
 
 import pytest
 
-from repro.obs.report import Report, generate
+from repro.obs.report import (Report, _figure6, _figure7, _figure8,
+                               generate)
 from repro.obs.sparkline import BARS, downsample, sparkline
+from repro.sim.experiments import (ALUExperiment, IssueQueueExperiment,
+                                   RegFileExperiment, alu_experiment,
+                                   issue_queue_experiment,
+                                   regfile_experiment)
 from repro.sim.parallel import ExperimentEngine, ResultCache
 
 
@@ -109,6 +114,51 @@ class TestGenerate:
     def test_unknown_figure_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="unknown figures"):
             generate(figures=("9",), engine=self._engine(tmp_path))
+
+
+class TestOneSubmission:
+    """``generate`` submits the grids of every requested figure in one
+    ``run_many`` call, so a benchmark's runs batch across figures, and
+    renders what the per-figure experiment functions would."""
+
+    BENCHES = ("perlbmk", "parser")
+    CYCLES = 3_000
+    #: figure -> (experiment class, experiment function, section)
+    STUDIES = {
+        "6": (IssueQueueExperiment, issue_queue_experiment, _figure6),
+        "7": (ALUExperiment, alu_experiment, _figure7),
+        "8": (RegFileExperiment, regfile_experiment, _figure8),
+    }
+
+    @pytest.mark.parametrize("figures", [("6", "7", "8"), ("7",)],
+                             ids=["6,7,8", "7"])
+    def test_one_run_many_call(self, figures):
+        engine = ExperimentEngine(jobs=1, use_cache=False)
+        submissions = []
+        run_many = engine.run_many
+
+        def recording(configs):
+            submissions.append(list(configs))
+            return run_many(configs)
+
+        engine.run_many = recording
+        text = generate(figures=figures, benchmarks=self.BENCHES,
+                        max_cycles=self.CYCLES, engine=engine).to_markdown()
+        assert submissions == [[
+            config for figure in figures
+            for config in self.STUDIES[figure][0].configs(
+                self.BENCHES, self.CYCLES, 1)]]
+
+        fresh = ExperimentEngine(jobs=1, use_cache=False)
+        expected = Report("Reproduction report")
+        for figure in figures:
+            _, experiment, section = self.STUDIES[figure]
+            section(expected, experiment(self.BENCHES, self.CYCLES,
+                                         engine=fresh), 358.0)
+        sections, accounting = text.split("## Run accounting")
+        assert sections == expected.to_markdown() + "\n"
+        # One group per benchmark, whichever figures it spans.
+        assert "(in 2 lock-stepped group(s))" in accounting
 
 
 class TestFleetPeak:

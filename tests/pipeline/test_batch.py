@@ -149,14 +149,24 @@ class TestPlanGroups:
         assert batch_key(a) != batch_key(b)
         assert batch_key(a) == batch_key(config("gzip"))
 
-    def test_batch_key_separates_floorplans(self):
-        """Runs that share a warm state but not a floorplan never
-        group: batched sampling stacks per-run power vectors, whose
-        length is the floorplan's block count."""
-        configs = [config("gzip", FloorplanVariant.ISSUE_QUEUE),
-                   config("gzip", FloorplanVariant.ALU),
-                   config("gzip", FloorplanVariant.ALU)]
-        assert plan_groups(configs, range(len(configs))) == [[1, 2]]
+    def test_figures_of_a_benchmark_share_a_group(self, monkeypatch):
+        """One benchmark's eight non-round-robin Figure 6/7/8 configs
+        share a warm state and form one group across their three
+        floorplans (batched sampling makes one call pair per
+        floorplan), which runs ``asdict``-identical to per-run
+        execution and to the reference loop."""
+        configs = [c for c in figure_grid()
+                   if c.benchmark == "gzip"
+                   and c.techniques.alus is not ALUPolicy.ROUND_ROBIN]
+        assert len({c.variant for c in configs}) == 3
+        assert plan_groups(configs, range(8)) == [list(range(8))]
+        batched, stats = run_grid(monkeypatch, configs)
+        assert (stats.batch_groups, stats.batched_runs) == (1, 8)
+        per_run, _ = run_grid(monkeypatch, configs, batch="0")
+        assert_all_identical(batched, per_run)
+        reference, _ = run_grid(monkeypatch, configs, batch="0",
+                                kernel="0")
+        assert_all_identical(batched, reference)
 
 
 class TestBatchIdentity:
@@ -364,10 +374,11 @@ class TestFlaggedGrids:
         mixed, stats = run_grid(monkeypatch, configs,
                                 checkpoints=tmp_path / "batched")
         assert (stats.batch_groups, stats.batched_runs) == (2, 5)
-        # Each run without turnoff forks off its group's leader once
-        # the leader turns a copy off: two in the plain group (the
-        # traced run among them), one in the sanitized group.
-        assert stats.fork_count == 3
+        # The runs without turnoff fork off their group's leader once
+        # the leader turns a copy off.  The plain group's two (the
+        # traced run among them) diverge alike and fork into one
+        # class; the sanitized group forks one.
+        assert stats.fork_count == 2
         assert stats.sanitized_runs == 2
         serial, off = run_grid(monkeypatch, configs, batch="0",
                                checkpoints=tmp_path / "per-run")
@@ -600,6 +611,40 @@ class TestDivergence:
         monkeypatch.setenv("REPRO_KERNEL", "0")
         assert_outcomes_match(outcomes, solo_results(configs))
 
+    def test_followers_diverging_alike_share_a_class(self, monkeypatch):
+        """Two followers whose gating diverges alike at one boundary
+        fork into one class: the first adopts the leader's state and
+        leads it, and the second follows it until the two part.  Every
+        run stays asdict-identical to running alone, on the kernel and
+        on the reference loop."""
+        configs = divergence_grid() + [config(
+            "gzip", FloorplanVariant.REGFILE,
+            TechniqueConfig(alus=ALUPolicy.BASE))]
+        # Runs 1 and 2 diverge alike at 1250, both flip back at 1500
+        # (one class still, apart from run 0's), and part at 2000.
+        install_gating_schedule(monkeypatch, {
+            (1250, 1): True, (1250, 2): True,
+            (1500, 1): False, (1500, 2): False, (2000, 2): True})
+        executed = []  # (now, processor) at the start of every chunk
+        run_chunk = kernel_mod._run_chunk
+
+        def spy(proc, n_cycles):
+            executed.append((proc.now, proc))
+            return run_chunk(proc, n_cycles)
+
+        monkeypatch.setattr(kernel_mod, "_run_chunk", spy)
+        stats = BatchStats()
+        outcomes = run_group(configs, stats=stats)
+        monkeypatch.setattr(kernel_mod, "_run_chunk", run_chunk)
+        assert len({id(p) for now, p in executed if now < 1250}) == 1
+        assert len({id(p) for now, p in executed if now < 2000}) == 2
+        assert len({id(p) for _, p in executed}) == 3
+        assert stats.fork_count == 2
+        assert stats.class_occupancy == {2: 3, 3: 6}
+        assert_outcomes_match(outcomes, solo_results(configs))
+        monkeypatch.setenv("REPRO_KERNEL", "0")
+        assert_outcomes_match(outcomes, solo_results(configs))
+
     def test_engine_surfaces_divergence_stats(self, monkeypatch):
         """EngineStats carries the fork count and per-boundary
         execution-class occupancy up from the batched groups."""
@@ -685,7 +730,9 @@ class TestReaderLeads:
 
     @pytest.mark.parametrize("bases", [1, 2], ids=["pair", "two-bases"])
     def test_followers_fork_off_the_reader(self, monkeypatch, bases):
-        """``two-bases`` forks two followers at one boundary."""
+        """``two-bases`` forks two followers at one boundary; their
+        gating is alike, so they fork into one class, in which the
+        second follows the first."""
         configs = issue_queue_grid(IssueQueuePolicy.ACTIVITY_TOGGLING,
                                    *[IssueQueuePolicy.BASE] * bases)
         install_gating_schedule(monkeypatch, self.SCHEDULE)
@@ -700,12 +747,13 @@ class TestReaderLeads:
         stats = BatchStats()
         outcomes = run_group(configs, stats=stats)
         monkeypatch.setattr(kernel_mod, "_run_chunk", run_chunk)
-        # Only the toggler executes before the flip, every run after.
+        # Only the toggler executes before the flip; after it, the
+        # toggler and the first base do.
         assert len({id(p) for now, p in executed if now < 1750}) == 1
-        assert len({id(p) for _, p in executed}) == 1 + bases
-        assert stats.fork_count == bases
-        # One class at 1250 and 1500; one per run from 1750 to 3250.
-        assert stats.class_occupancy == {1: 2, 1 + bases: 7}
+        assert len({id(p) for _, p in executed}) == 2
+        assert stats.fork_count == 1
+        # One class at 1250 and 1500; two from 1750 to 3250.
+        assert stats.class_occupancy == {1: 2, 2: 7}
         assert_outcomes_match(outcomes, solo_results(configs))
         monkeypatch.setenv("REPRO_KERNEL", "0")
         assert_outcomes_match(outcomes, solo_results(configs))
@@ -715,8 +763,8 @@ def figure_grid(**overrides):
     """The figure-6/7/8 technique matrix over two benchmarks: a
     toggling/base issue-queue pair, a round-robin + fine-grain/base
     ALU triple, and the four register-file configurations each.  The
-    pipeline-reading toggler leads both pairs, submitted first in the
-    gzip pair and second in the mesa pair."""
+    pipeline-reading toggler leads each benchmark's group, submitted
+    first in the gzip pair and second in the mesa pair."""
     toggling, base = (IssueQueuePolicy.ACTIVITY_TOGGLING,
                       IssueQueuePolicy.BASE)
     grid = []
@@ -773,9 +821,10 @@ class TestWorkCounts:
     # (kernel chunks, cycles they stepped, checkpoint captures,
     # restores).  The cold pass warms up 4 checkpoint cells (per
     # benchmark, round-robin and the rest); the warm pass restores all
-    # 18 runs and steps measured cycles only.
-    COLD = (118, 32_500, 4, 14)
-    WARM = (114, 28_500, 0, 18)
+    # 18 runs and steps measured cycles only.  Each benchmark's eight
+    # non-round-robin runs form one group across the three figures.
+    COLD = (69, 20_250, 4, 14)
+    WARM = (65, 16_250, 0, 18)
 
     def test_figure_grid_cold_then_warm(self, monkeypatch, tmp_path):
         for env in ("REPRO_BATCH", "REPRO_KERNEL"):
@@ -799,9 +848,8 @@ class TestWorkCounts:
             assert (len(stepped), sum(stepped), stats.checkpoint_captures,
                     stats.checkpoint_restores) == expected
             assert (stats.batch_groups, stats.batched_runs,
-                    stats.fork_count) == (6, 16, 4)
-            assert stats.batch_class_occupancy == {1: 36, 2: 9, 3: 2,
-                                                   4: 7}
+                    stats.fork_count) == (2, 16, 3)
+            assert stats.batch_class_occupancy == {1: 9, 3: 2, 4: 7}
             assert sum(r.cycles for r in results) == 45_000
 
 
